@@ -1,4 +1,4 @@
-"""Command-line front end and the brute-force reference solver.
+"""Command-line front end.
 
 Subcommands:
 
@@ -24,66 +24,13 @@ import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .cnf import Formula, is_tautology, parse_dimacs
+from .cnf import Formula, parse_dimacs
 from .itp import ItpSystem
 from .reconcile import DEFAULT_MAX_ROUNDS, ReconcileResult, ReconcileStats, reconcile
 
 CSV_FIELDS = ("file", "k", "system", "verdict", "seconds", "rounds", "g_clauses", "itp_nodes")
 
 _EXIT_BY_VERDICT = {"SAT": 10, "UNSAT": 20, "UNKNOWN": 0}
-BRUTE_FORCE_MAX_VARS = 26
-
-_var_tables_cache: dict[int, list[int]] = {}
-
-
-def _var_tables(n: int) -> list[int]:
-    """Truth tables over all 2^n assignments, one big integer per variable.
-
-    Assignment index: variable 1 is the most significant bit, false < true,
-    so ascending bit index enumerates assignments in lexicographic order.
-    """
-    tables = _var_tables_cache.get(n)
-    if tables is None:
-        size = 1 << n
-        tables = [0] * (n + 1)
-        for v in range(1, n + 1):
-            block = 1 << (n - v)
-            pattern = ((1 << block) - 1) << block
-            span = block << 1
-            while span < size:
-                pattern |= pattern << span
-                span <<= 1
-            tables[v] = pattern
-        _var_tables_cache[n] = tables
-    return tables
-
-
-def brute_force(f: Formula) -> dict[int, bool] | None:
-    """Exhaustive truth-table verdict: a model (the lexicographically first,
-    with false < true) or None when unsatisfiable.
-
-    Evaluates every assignment bit-parallel over Python integers; refuses
-    formulas beyond 26 variables.
-    """
-    n = f.num_vars
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise ValueError(f"brute_force limited to {BRUTE_FORCE_MAX_VARS} vars, got {n}")
-    size = 1 << n
-    full = (1 << size) - 1
-    tables = _var_tables(n)
-    acc = full
-    for clause in f.clauses:
-        if is_tautology(clause):
-            continue
-        ct = 0
-        for l in clause:
-            t = tables[abs(l)]
-            ct |= t if l > 0 else full ^ t
-        acc &= ct
-        if not acc:
-            return None
-    first = (acc & -acc).bit_length() - 1
-    return {v: bool((first >> (n - v)) & 1) for v in range(1, n + 1)}
 
 
 @dataclass
@@ -136,7 +83,7 @@ def run_one(
         name,
         k,
         system.value,
-        result.verdict if result.verdict != "UNKNOWN" else "UNKNOWN",
+        result.verdict,
         round(seconds, 3),
         result.stats.rounds,
         result.stats.g_clause_count,

@@ -4,12 +4,20 @@ Design notes, fixed for reproducibility:
 
 * branching is activity-driven (VSIDS style) with ties broken on the lowest
   variable index, default polarity false, no phase saving;
+* the decision heap holds at most one live entry per variable, keyed by
+  the variable's current activity, and every unassigned variable has one;
+  entries made stale by a bump are skipped when popped, and the heap is
+  rebuilt from the unassigned variables once it grows past twice the
+  active ones, so its size does not grow with the number of incremental
+  calls;
 * restarts follow the Luby sequence with a unit of 100 conflicts;
 * learnt clauses are never deleted, so proof nodes stay valid across
   incremental calls;
 * every learnt clause carries a proof chain built only from clause nodes
   (label A), never from assumption literals, which is what keeps learnt
-  clauses sound premises under any future assumptions.
+  clauses sound premises under any future assumptions;
+* every Sat answer is checked against all clauses, inputs and learnts,
+  before it is returned.
 
 Conflict analysis is First-UIP.  Literals already falsified at level 0 are
 resolved out of the learnt clause (their reason chains are part of the logged
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .cnf import Lit, is_tautology, normalize_clause
 from .proof import LABEL_A, LABEL_B, ProofStore
@@ -89,6 +97,7 @@ class Solver:
         self._active = bytearray(cap + 1)
         self._active_list: list[int] = []
         self._heap: list[tuple[float, int]] = []
+        self._in_heap = bytearray(cap + 1)  # 1: has an entry at its current activity
         self._var_inc = 1.0
         self._last: SolveOutcome | None = None
 
@@ -113,6 +122,7 @@ class Solver:
         self._activity.extend([0.0] * extra)
         self._seen.extend(bytes(extra))
         self._active.extend(bytes(extra))
+        self._in_heap.extend(bytes(extra))
         self._cap = new_cap
 
     def _activate(self, var: int):
@@ -121,6 +131,7 @@ class Solver:
         if not self._active[var]:
             self._active[var] = 1
             self._active_list.append(var)
+            self._in_heap[var] = 1
             heappush(self._heap, (-self._activity[var], var))
 
     def value(self, lit: Lit) -> int:
@@ -196,14 +207,19 @@ class Solver:
         vals = self._vals
         heap = self._heap
         activity = self._activity
+        in_heap = self._in_heap
         for lit in self.trail[limit:]:
             v = lit if lit > 0 else -lit
             vals[off + lit] = 0
             vals[off - lit] = 0
-            heappush(heap, (-activity[v], v))
+            if not in_heap[v]:
+                in_heap[v] = 1
+                heappush(heap, (-activity[v], v))
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.qhead = limit
+        if len(heap) > 2 * len(self._active_list):
+            self._rebuild_heap()
 
     def _propagate(self) -> int:
         """Unit propagation; returns the index of a falsified clause, or -1."""
@@ -282,24 +298,40 @@ class Solver:
             for v in self._active_list:
                 self._activity[v] *= scale
             self._var_inc *= scale
-            off = self._cap
-            vals = self._vals
-            self._heap = []
-            for v in self._active_list:
-                if vals[off + v] == 0:
-                    heappush(self._heap, (-self._activity[v], v))
+            self._rebuild_heap()
         elif self._vals[self._cap + var] == 0:
+            self._in_heap[var] = 1
             heappush(self._heap, (-act, var))
+        else:
+            self._in_heap[var] = 0  # its entry, if any, is stale now
+
+    def _rebuild_heap(self):
+        """One entry per unassigned variable, at its current activity."""
+        off = self._cap
+        vals = self._vals
+        activity = self._activity
+        in_heap = self._in_heap
+        heap = []
+        for v in self._active_list:
+            free = vals[off + v] == 0
+            in_heap[v] = free
+            if free:
+                heap.append((-activity[v], v))
+        heapify(heap)
+        self._heap = heap
 
     def _pick_branch_var(self) -> int:
         vals = self._vals
         off = self._cap
         activity = self._activity
+        in_heap = self._in_heap
         heap = self._heap
         while heap:
             negact, v = heappop(heap)
-            if vals[off + v] == 0 and activity[v] == -negact:
-                return v
+            if activity[v] == -negact:
+                in_heap[v] = 0
+                if vals[off + v] == 0:
+                    return v
         raise RuntimeError("internal: decision heap exhausted with unassigned vars")
 
     # ------------------------------------------------------------------
@@ -590,9 +622,10 @@ class Solver:
         return {v: vals[off + v] == 1 for v in self._active_list}
 
     def _verify_model(self, model: dict[int, bool]):
-        for lits in self.clauses:
-            if lits and not any(model[abs(l)] == (l > 0) for l in lits):
-                raise RuntimeError(f"internal: model fails clause {sorted(lits)}")
+        true_lits = {v if b else -v for v, b in model.items()}
+        if any(map(true_lits.isdisjoint, self.clauses)):
+            lits = next(c for c in self.clauses if true_lits.isdisjoint(c))
+            raise RuntimeError(f"internal: model fails clause {sorted(lits)}")
 
     # ------------------------------------------------------------------
     # labeled refutations for interpolation

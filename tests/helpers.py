@@ -109,6 +109,27 @@ def cnf_table(clauses, full: int, tables: dict[int, int]) -> int:
     return acc
 
 
+BRUTE_FORCE_MAX_VARS = 26
+
+
+def brute_force(f: Formula) -> dict[int, bool] | None:
+    """Exhaustive truth-table verdict: a model (the lexicographically first,
+    with false < true) or None when unsatisfiable.
+
+    Evaluates every assignment bit-parallel over Python integers; refuses
+    formulas beyond BRUTE_FORCE_MAX_VARS variables.
+    """
+    n = f.num_vars
+    if n > BRUTE_FORCE_MAX_VARS:
+        raise ValueError(f"brute_force limited to {BRUTE_FORCE_MAX_VARS} vars, got {n}")
+    full, tables = make_tables(list(range(1, n + 1)))
+    acc = cnf_table(f.clauses, full, tables)
+    if not acc:
+        return None
+    first = (acc & -acc).bit_length() - 1
+    return {v: bool((first >> (n - v)) & 1) for v in range(1, n + 1)}
+
+
 def rbc_table(store: RbcStore, ref: int, full: int, tables: dict[int, int]) -> int:
     """Truth table of a circuit, walking the store's DAG directly."""
     memo: dict[int, int] = {}

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from lazysat import ItpSystem, RbcStore, Solver, write_dimacs
-from lazysat.cli import RunRecord, _write_csv, brute_force, run_one
+from lazysat.cli import RunRecord, _write_csv, run_one
 from tests.helpers import (
+    brute_force,
     check_interpolant,
     clause_table,
     cnf_table,

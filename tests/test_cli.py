@@ -5,8 +5,8 @@ import random
 import pytest
 
 from lazysat import Formula, parse_dimacs, write_dimacs
-from lazysat.cli import CSV_FIELDS, brute_force, main
-from tests.helpers import naive_brute_force, pigeonhole, random_formula
+from lazysat.cli import CSV_FIELDS, main
+from tests.helpers import brute_force, naive_brute_force, pigeonhole, random_formula
 
 UNSAT_3CLAUSE = "p cnf 2 3\n1 2 0\n-1 0\n-2 0\n"
 

@@ -11,8 +11,8 @@ from lazysat import (
     normalize_clause,
     reconcile,
 )
-from lazysat.cli import brute_force
 from tests.helpers import (
+    brute_force,
     check_interpolant,
     count_projected_models,
     holds_under,

@@ -420,3 +420,68 @@ def test_deadline_budget_raises():
         s.add_clause(c)
     with pytest.raises(BudgetExceeded):
         s.solve(deadline=time.monotonic() + 0.02)
+
+
+def test_decision_heap_stays_bounded_and_picks_the_argmax(monkeypatch):
+    import lazysat.solver as solver_mod
+    from lazysat import normalize_clause
+
+    monkeypatch.setattr(solver_mod, "_RESCALE", 10.0)  # rescales fire often
+    stats = {"picks": 0, "rescales": 0}
+    real_pick = Solver._pick_branch_var
+
+    def checked_pick(s):
+        if s._var_inc < stats["inc"]:  # only a rescale shrinks it
+            stats["rescales"] += 1
+        stats["inc"] = s._var_inc
+        free = [v for v in s._active_list if s.value(v) == 0]
+        want = min(free, key=lambda v: (-s._activity[v], v))
+        got = real_pick(s)
+        assert got == want
+        stats["picks"] += 1
+        return got
+
+    monkeypatch.setattr(Solver, "_pick_branch_var", checked_pick)
+    rng = random.Random(89)
+    n = 40
+    for _ in range(10):
+        s = Solver()
+        stats["inc"] = s._var_inc
+        for _ in range(40):
+            for _ in range(rng.randint(2, 7)):
+                vs = rng.sample(range(1, n + 1), 3)
+                s.add_clause(normalize_clause(v if rng.random() < 0.5 else -v for v in vs))
+                assert len(s._heap) <= 2 * s.num_vars
+            vs = rng.sample(range(1, n + 1), rng.randint(0, 8))
+            out = s.solve([v if rng.random() < 0.5 else -v for v in vs])
+            assert len(s._heap) <= 2 * s.num_vars
+            if isinstance(out, Unsat):
+                break
+    assert stats["picks"] > 1000
+    assert stats["rescales"] > 10
+
+
+def test_model_check_covers_input_and_learnt_clauses():
+    from tests.helpers import random_3cnf
+
+    f = random_3cnf(random.Random(11), 40, 165)
+    s = Solver()
+    for c in f.clauses:
+        s.add_clause(c)
+    n_inputs = len(s.clauses)
+    out = s.solve()
+    assert isinstance(out, Sat)
+    assert len(s.clauses) > n_inputs  # learnt clauses follow the inputs
+    s._verify_model(out.model)
+
+    broken = dict(out.model)
+    for l in s.clauses[0]:
+        broken[abs(l)] = l < 0
+    with pytest.raises(RuntimeError, match=r"internal: model fails clause \["):
+        s._verify_model(broken)
+
+    # a learnt-position clause that the model falsifies, inputs all satisfied
+    falsified = [-v if b else v for v, b in sorted(out.model.items())[:3]]
+    s._install_learnt(falsified, s.clause_node[-1])
+    with pytest.raises(RuntimeError, match=r"internal: model fails clause \["):
+        s._verify_model(out.model)
