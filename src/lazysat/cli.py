@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .cnf import Formula, parse_dimacs
 from .itp import ItpSystem
-from .reconcile import DEFAULT_MAX_ROUNDS, ReconcileResult, ReconcileStats, reconcile
+from .reconcile import DEFAULT_MAX_ROUNDS, ReconcileResult, reconcile
 
 CSV_FIELDS = ("file", "k", "system", "verdict", "seconds", "rounds", "g_clauses", "itp_nodes")
 
@@ -58,18 +58,13 @@ def run_one(
     """One reconciliation run distilled into a CSV row (plus the raw result)."""
     t0 = time.monotonic()
     try:
-        if not f.clauses:
-            # Degenerate: nothing to partition, trivially satisfiable.
-            model = {v: False for v in range(1, f.num_vars + 1)}
-            result = ReconcileResult("SAT", model, ReconcileStats())
-        else:
-            result = reconcile(
-                f, k, system,
-                max_rounds=max_rounds,
-                timeout=timeout,
-                completion_seed=seed,
-                on_interpolant=on_interpolant,
-            )
+        result = reconcile(
+            f, k, system,
+            max_rounds=max_rounds,
+            timeout=timeout,
+            completion_seed=seed,
+            on_interpolant=on_interpolant,
+        )
     except ValueError as exc:
         record = RunRecord(name, k, system.value, "ERROR", round(time.monotonic() - t0, 3), "", "", "")
         record.error = str(exc)  # type: ignore[attr-defined]
@@ -154,11 +149,6 @@ def cmd_solve(args) -> int:
         print(f"c seconds {record.seconds}")
     if result.verdict == "SAT":
         model = result.model
-        if args.verify_model:
-            # eval_formula already ran inside reconcile; repeat loudly here.
-            from .cnf import eval_formula
-
-            print(f"c model verified: {eval_formula(f, model)}")
         print("s SATISFIABLE")
         lits = [v if model[v] else -v for v in sorted(model)]
         for i in range(0, len(lits), 12):
@@ -264,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--partitions", "-k", type=int, default=1, help="number of partitions")
     common(p_solve)
-    p_solve.add_argument("--verify-model", action="store_true", help="re-check SAT models against the input")
     p_solve.add_argument("--check-proofs", action="store_true", help="validate the refutation behind UNSAT verdicts")
     p_solve.add_argument("--stats", action="store_true", help="print a stats block as comment lines")
     p_solve.add_argument("--dump-itp", metavar="DIR", default=None, help="write every interpolant as a DOT file into DIR")

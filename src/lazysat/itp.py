@@ -46,12 +46,24 @@ def var_classes(store: ProofStore, root: int) -> dict[int, int]:
     Classes are computed from the reachable input leaves only, so clauses
     that do not contribute to the derivation cannot widen V_A or V_B.
     """
+    return _leaf_classes(store, store.reachable(root))[0]
+
+
+def _leaf_classes(store: ProofStore, nodes) -> tuple[dict[int, int], bool]:
+    """Classes of the variables of the input leaves among ``nodes``, and
+    whether any of those leaves is A-labeled."""
     va: set[int] = set()
     vb: set[int] = set()
-    for leaf in store.reachable_inputs(root):
-        _, clause, label = store.node(leaf)
-        target = va if label == LABEL_A else vb
-        target.update(abs(l) for l in clause)
+    has_a = False
+    for nid in nodes:
+        node = store.node(nid)
+        if node[0] != "I":
+            continue
+        if node[2] == LABEL_A:
+            has_a = True
+            va.update(abs(l) for l in node[1])
+        else:
+            vb.update(abs(l) for l in node[1])
     classes = {}
     for v in va | vb:
         if v in va and v in vb:
@@ -60,7 +72,7 @@ def var_classes(store: ProofStore, root: int) -> dict[int, int]:
             classes[v] = A_LOCAL
         else:
             classes[v] = B_LOCAL
-    return classes
+    return classes, has_a
 
 
 def _shared_disjunction(clause: Clause, classes, rbc: RbcStore) -> RbcRef:
@@ -126,11 +138,9 @@ def interpolant_from_proof(
     the caller's contract (check_refutation recomputes it when wanted).  The
     result's variables are always within the shared set.
     """
-    classes = var_classes(store, root)
     reachable = store.reachable(root)
-    if not any(
-        store.node(i)[2] == LABEL_A for i in reachable if store.is_input(i)
-    ):
+    classes, has_a = _leaf_classes(store, reachable)
+    if not has_a:
         raise ValueError("refutation has no A-labeled inputs to interpolate against")
     memo: dict[int, RbcRef] = {}
     for nid in reachable:

@@ -116,18 +116,25 @@ def reconcile(
 ) -> ReconcileResult:
     """Decide f by reconciling k lazy partitions; see the module docstring.
 
+    A formula with no clauses is satisfiable for any k, with every variable
+    false.
+
     ``on_interpolant`` observes every interpolant conjoined to G;
     ``on_round`` observes (round index, shared model, G's clause list so far)
     after each round's refinements.  Both are for instrumentation and tests.
     """
     t_start = time.monotonic()
     deadline = t_start + timeout if timeout is not None else None
-    decomposition = decompose_lazy(f, k)
     stats = ReconcileStats()
 
     def finish(result: ReconcileResult) -> ReconcileResult:
         stats.wall_seconds = time.monotonic() - t_start
         return result
+
+    if not f.clauses:
+        model = {v: False for v in range(1, f.num_vars + 1)}
+        return finish(ReconcileResult("SAT", model, stats))
+    decomposition = decompose_lazy(f, k)
 
     def exhausted(kind: str) -> ReconcileResult:
         return finish(ReconcileResult("UNKNOWN", None, stats, exhausted=kind))

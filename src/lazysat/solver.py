@@ -16,8 +16,11 @@ Design notes, fixed for reproducibility:
 * every learnt clause carries a proof chain built only from clause nodes
   (label A), never from assumption literals, which is what keeps learnt
   clauses sound premises under any future assumptions;
-* every Sat answer is checked against all clauses, inputs and learnts,
-  before it is returned.
+* a call first tries the previous Sat model, with the call's assumptions
+  written in: when no variable was activated since and that model
+  satisfies every clause, it is the answer and no search runs;
+* every Sat answer, searched or reused, is checked against all clauses,
+  inputs and learnts, before it is returned.
 
 Conflict analysis is First-UIP.  Literals already falsified at level 0 are
 resolved out of the learnt clause (their reason chains are part of the logged
@@ -539,9 +542,11 @@ class Solver:
 
         Returns Sat with a model over all solver variables, Unsat if the
         database alone is contradictory, or UnsatUnderAssumptions with a
-        conflicting subset of the assumptions.  Learnt clauses and proof
-        nodes persist across calls.  Raises BudgetExceeded past ``deadline``
-        (a time.monotonic() timestamp).
+        conflicting subset of the assumptions.  A Sat model may be the
+        previous call's, with the assumptions written in, when that still
+        satisfies every clause; it is checked against every clause either
+        way.  Learnt clauses and proof nodes persist across calls.  Raises
+        BudgetExceeded past ``deadline`` (a time.monotonic() timestamp).
         """
         if self.unsat_node is not None:
             self._last = Unsat(self.unsat_node)
@@ -552,6 +557,16 @@ class Solver:
             raise ValueError(f"inconsistent assumption list {assumptions}")
         for l in assumptions:
             self._activate(abs(l))
+        last = self._last
+        if isinstance(last, Sat) and len(last.model) == len(self._active_list):
+            # The previous model, with the assumptions written in, answers
+            # this call if it satisfies every clause: no search is needed.
+            model = dict(last.model)
+            for l in assumptions:
+                model[abs(l)] = l > 0
+            if self._satisfies_all(model):
+                self._last = Sat(model)
+                return self._last
         self._backtrack(0)
         restart_idx = 1
         restart_limit = self.restart_unit * luby(restart_idx)
@@ -621,9 +636,14 @@ class Solver:
         vals = self._vals
         return {v: vals[off + v] == 1 for v in self._active_list}
 
-    def _verify_model(self, model: dict[int, bool]):
+    def _satisfies_all(self, model: dict[int, bool]) -> bool:
+        """True iff the model satisfies every clause, inputs and learnts."""
         true_lits = {v if b else -v for v, b in model.items()}
-        if any(map(true_lits.isdisjoint, self.clauses)):
+        return not any(map(true_lits.isdisjoint, self.clauses))
+
+    def _verify_model(self, model: dict[int, bool]):
+        if not self._satisfies_all(model):
+            true_lits = {v if b else -v for v, b in model.items()}
             lits = next(c for c in self.clauses if true_lits.isdisjoint(c))
             raise RuntimeError(f"internal: model fails clause {sorted(lits)}")
 

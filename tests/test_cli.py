@@ -39,7 +39,7 @@ def test_brute_force_handles_tautologies_and_empty():
 
 def test_solve_sat_exit_and_output(tmp_path, capsys):
     path = _write(tmp_path, "sat.cnf", "p cnf 2 1\n1 2 0\n")
-    code = main(["solve", path, "--partitions", "1", "--verify-model"])
+    code = main(["solve", path, "--partitions", "1"])
     out = capsys.readouterr().out
     assert code == 10
     assert "s SATISFIABLE" in out

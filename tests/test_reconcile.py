@@ -187,6 +187,10 @@ def test_all_tautology_formula_is_sat_with_default_model():
     r = reconcile(f, 2)
     assert r.verdict == "SAT"
     assert r.model == {1: False, 2: False, 3: False}
+    for k in (1, 2):  # no clauses at all: nothing to partition
+        r = reconcile(Formula((), 3), k)
+        assert r.verdict == "SAT"
+        assert r.model == {1: False, 2: False, 3: False}
 
 
 def test_stats_records_shape():

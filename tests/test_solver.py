@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazysat import (
     LABEL_A,
     LABEL_B,
     SENTINEL,
     BudgetExceeded,
+    Formula,
     Sat,
     Solver,
     Unsat,
@@ -485,3 +488,119 @@ def test_model_check_covers_input_and_learnt_clauses():
     s._install_learnt(falsified, s.clause_node[-1])
     with pytest.raises(RuntimeError, match=r"internal: model fails clause \["):
         s._verify_model(out.model)
+
+
+def _count_propagate(monkeypatch, s):
+    calls = []
+    real = s._propagate
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(s, "_propagate", counted)
+    return calls
+
+
+def _satisfies(model, clauses):
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def test_compatible_assumptions_reuse_the_last_model(monkeypatch):
+    s = Solver()
+    clauses = [(1, 2), (3, 4), (-2, 5)]
+    for c in clauses:
+        s.add_clause(c)
+    first = s.solve()
+    assert isinstance(first, Sat) and first.model[1] is False
+    calls = _count_propagate(monkeypatch, s)
+    out = s.solve([1, -3])  # 1 flips; (1 2) and (3 4) stay satisfied
+    assert calls == []
+    assert isinstance(out, Sat)
+    assert set(out.model) == {1, 2, 3, 4, 5}
+    assert out.model[1] is True and out.model[3] is False
+    assert _satisfies(out.model, clauses)
+    assert first.model[1] is False  # the earlier answer is not mutated
+
+
+def test_reuse_refused_when_the_last_model_does_not_answer(monkeypatch):
+    s = Solver()
+    clauses = [(1, 2), (3, 4)]
+    for c in clauses:
+        s.add_clause(c)
+    model = s.solve().model
+    calls = _count_propagate(monkeypatch, s)
+
+    # a clause added since, falsified by the last model
+    falsified = tuple(v if not model[v] else -v for v in (1, 3))
+    s.add_clause(falsified)
+    clauses.append(falsified)
+    del calls[:]
+    out = s.solve()
+    assert calls and isinstance(out, Sat) and _satisfies(out.model, clauses)
+
+    # an assumption over a variable activated by this call
+    del calls[:]
+    out = s.solve([6])
+    assert calls and isinstance(out, Sat) and out.model[6] is True
+    assert set(out.model) == {1, 2, 3, 4, 6}
+
+    # after an UnsatUnderAssumptions outcome
+    refused = s.solve([-1, -2])
+    assert isinstance(refused, UnsatUnderAssumptions)
+    del calls[:]
+    out = s.solve([-1])
+    assert calls and isinstance(out, Sat) and out.model[2] is True
+
+    # a reused Sat, then a refusal: its labeled refutation still checks
+    del calls[:]
+    out = s.solve([-1])
+    assert calls == [] and isinstance(out, Sat)
+    with pytest.raises(ValueError):
+        s.labeled_refutation([-1])
+    refused = s.solve([-1, -2])
+    assert calls and isinstance(refused, UnsatUnderAssumptions)
+    root = s.labeled_refutation([-1, -2])
+    assert s.proof.check_refutation(root)
+
+
+_lits8 = st.integers(1, 8).flatmap(lambda v: st.sampled_from((v, -v)))
+_assumptions8 = st.dictionaries(st.integers(1, 8), st.booleans(), max_size=5).map(
+    lambda d: [v if b else -v for v, b in d.items()]
+)
+_ops8 = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(_lits8, min_size=1, max_size=3)),
+        st.tuples(st.just("solve"), _assumptions8),
+    ),
+    max_size=30,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_ops8)
+def test_random_add_solve_interleavings_match_brute_force(ops):
+    s = Solver()
+    clauses = []
+    for op, arg in ops:
+        if op == "add":
+            s.add_clause(arg)
+            if not any(-l in arg for l in arg):  # the solver drops tautologies
+                clauses.append(tuple(arg))
+            continue
+        out = s.solve(arg)
+        units = [(a,) for a in arg]
+        expect = naive_brute_force(Formula(tuple(clauses + units), 8))
+        if isinstance(out, Sat):
+            assert expect is not None
+            assert set(out.model) == set(s._active_list)
+            assert _satisfies(out.model, clauses + units)
+        elif isinstance(out, Unsat):
+            assert naive_brute_force(Formula(tuple(clauses), 8)) is None
+        else:
+            assert expect is None
+            core = out.conflict_assumptions
+            assert set(core) <= set(arg)
+            core_units = tuple((a,) for a in core)
+            assert naive_brute_force(Formula(tuple(clauses) + core_units, 8)) is None
+            assert s.proof.check_refutation(s.labeled_refutation(arg))
