@@ -25,12 +25,15 @@ class DimacsError(ValueError):
 
 def normalize_clause(lits: Iterable[Lit]) -> Clause:
     """Drop duplicate literals and sort by variable index, positive first."""
-    return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
+    # Built from C-level builtins only; the stable sort by abs keeps the
+    # descending order, and so the positive literal, within a variable.
+    return tuple(sorted(sorted(set(lits), reverse=True), key=abs))
 
 
 def is_tautology(clause: Iterable[Lit]) -> bool:
+    """True iff the clause holds some literal and its negation."""
     s = set(clause)
-    return any(-l in s for l in s)
+    return len(set(map(abs, s))) != len(s)
 
 
 @dataclass(frozen=True)

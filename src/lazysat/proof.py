@@ -56,6 +56,8 @@ class ProofStore:
         if label not in (LABEL_A, LABEL_B):
             raise ProofError(f"bad label {label!r}")
         norm = normalize_clause(clause)
+        if norm and norm[0] == 0:
+            raise ProofError(f"literal 0 in input clause {norm}")
         if is_tautology(norm):
             raise ProofError(f"tautological input clause {norm}")
         node_id = len(self._pivot)
@@ -129,19 +131,28 @@ class ProofStore:
         return normalize_clause(computed[node_id])
 
     def reachable(self, root: int) -> list[int]:
-        """Node ids reachable from root, ascending (children before parents)."""
+        """Node ids reachable from root, ascending (children before parents).
+
+        Only the nodes reached are visited and sorted; the marks are one
+        zeroed byte per stored node, filled in C, which takes less memory
+        than a set of the reached ids.
+        """
         self._check_id(root)
-        marked = bytearray(len(self._pivot))
-        stack = [root]
+        pivot, left, right = self._pivot, self._left, self._right
+        marked = bytearray(len(pivot))
         marked[root] = 1
+        reached = [root]
+        stack = [root]
         while stack:
             nid = stack.pop()
-            if self._pivot[nid] >= 0:
-                for child in (self._left[nid], self._right[nid]):
+            if pivot[nid] >= 0:
+                for child in (left[nid], right[nid]):
                     if not marked[child]:
                         marked[child] = 1
+                        reached.append(child)
                         stack.append(child)
-        return [i for i, m in enumerate(marked) if m]
+        reached.sort()
+        return reached
 
     def reachable_inputs(self, root: int) -> list[int]:
         return [i for i in self.reachable(root) if self._pivot[i] < 0]

@@ -20,11 +20,22 @@ Design notes, fixed for reproducibility:
   written in: when no variable was activated since and that model
   satisfies every clause, it is the answer and no search runs;
 * every Sat answer, searched or reused, is checked against all clauses,
-  inputs and learnts, before it is returned.
+  inputs and learnts, before it is returned;
+* the value array stores an assignment made at decision level 0 as +-2 and
+  any other as +-1, so one load tells a fact that holds for good, since
+  level 0 is never undone.  A clause satisfied at level 0 can never
+  propagate or conflict again: ``add_clause`` attaches no watches to it, and
+  ``_propagate`` drops the watch through which it meets one.  Detaching only
+  removes such clauses from watch lists, keeping the order of the others,
+  so the search is the same as with them attached; they stay in
+  ``clauses``, so analysis, the model check and model reuse see them all.
 
 Conflict analysis is First-UIP.  Literals already falsified at level 0 are
 resolved out of the learnt clause (their reason chains are part of the logged
 derivation), so each learnt clause's proof node derives exactly that clause.
+They are resolved latest on the trail first, popped from a heap keyed on
+trail position, so the cost follows the literals resolved, not the length of
+the level-0 trail.
 """
 
 from __future__ import annotations
@@ -90,7 +101,8 @@ class Solver:
         self.learn_hook = None  # callable(learnt_lits, value_of) for tests
         cap = 64
         self._cap = cap
-        self._vals = [0] * (2 * cap + 1)  # index _cap + lit: 1 true, -1 false
+        # index _cap + lit: 1 true, -1 false; +-2 when assigned at level 0
+        self._vals = [0] * (2 * cap + 1)
         self._watches: list[list[int]] = [[] for _ in range(2 * cap + 1)]
         self._level = [0] * (cap + 1)
         self._reason = [-1] * (cap + 1)
@@ -141,7 +153,8 @@ class Solver:
         """1 if lit is true, -1 if false, 0 if unassigned."""
         if abs(lit) > self._cap:
             return 0
-        return self._vals[self._cap + lit]
+        val = self._vals[self._cap + lit]
+        return (val > 0) - (val < 0)
 
     @property
     def num_vars(self) -> int:
@@ -154,13 +167,16 @@ class Solver:
         """Register a clause (at decision level 0) and propagate its units.
 
         Tautologies are ignored; adding to an already-refuted solver is a
-        no-op.  Both return the sentinel id.
+        no-op.  Both return the sentinel id.  A clause already satisfied at
+        level 0 is stored but not watched.  Literal 0 raises ValueError.
         """
         if self.unsat_node is not None:
             return SENTINEL
         if self.trail_lim:
             raise ValueError("clauses may only be added at decision level 0")
         norm = normalize_clause(lits)
+        if norm and norm[0] == 0:
+            raise ValueError(f"literal 0 in clause {norm}")
         if is_tautology(norm):
             return SENTINEL
         for l in norm:
@@ -184,7 +200,7 @@ class Solver:
                 confl = self._propagate()
                 if confl >= 0:
                     self._refute_at_level0(confl)
-        else:
+        elif not any(vals[off + l] for l in nonfalse):
             self._watches[off + ordered[0]].append(ci)
             self._watches[off + ordered[1]].append(ci)
         return ci
@@ -195,9 +211,11 @@ class Solver:
     def _enqueue(self, lit: Lit, reason: int):
         v = lit if lit > 0 else -lit
         off = self._cap
-        self._vals[off + lit] = 1
-        self._vals[off - lit] = -1
-        self._level[v] = len(self.trail_lim)
+        dl = len(self.trail_lim)
+        tval = 1 if dl else 2
+        self._vals[off + lit] = tval
+        self._vals[off - lit] = -tval
+        self._level[v] = dl
         self._reason[v] = reason
         self._tpos[v] = len(self.trail)
         self.trail.append(lit)
@@ -235,6 +253,7 @@ class Solver:
         reason = self._reason
         tpos = self._tpos
         dl = len(self.trail_lim)
+        tval = 1 if dl else 2
         qhead = self.qhead
         while qhead < len(trail):
             p = trail[qhead]
@@ -253,9 +272,11 @@ class Solver:
                     lits[0] = lits[1]
                     lits[1] = np
                 w0 = lits[0]
-                if vals[off + w0] == 1:
-                    ws[j] = ci
-                    j += 1
+                val0 = vals[off + w0]
+                if val0 > 0:  # satisfied; at level 0 for good, so unwatched
+                    if val0 == 1:
+                        ws[j] = ci
+                        j += 1
                     continue
                 n = len(lits)
                 k = 2
@@ -271,7 +292,7 @@ class Solver:
                     continue
                 ws[j] = ci
                 j += 1
-                if vals[off + w0] == -1:
+                if val0 < 0:
                     while i < end:
                         ws[j] = ws[i]
                         j += 1
@@ -280,8 +301,8 @@ class Solver:
                     self.qhead = qhead
                     return ci
                 v = w0 if w0 > 0 else -w0
-                vals[off + w0] = 1
-                vals[off - w0] = -1
+                vals[off + w0] = tval
+                vals[off - w0] = -tval
                 level[v] = dl
                 reason[v] = ci
                 tpos[v] = len(trail)
@@ -359,22 +380,22 @@ class Solver:
                 node = append(node, rnode, -t)
         return node
 
-    def _sweep_level0(self, steps, touched, remaining, start_pos):
-        """Resolve marked level-0 literals out, walking the trail backwards."""
+    def _sweep_level0(self, steps, touched, heap):
+        """Resolve the marked level-0 variables out, latest on the trail first.
+
+        ``heap`` holds -_tpos[v] for each of them.  A reason clause holds
+        only literals earlier on the trail than the one it implies, so the
+        order is the one a backward walk of the trail would give.
+        """
         seen = self._seen
         trail = self.trail
         reason = self._reason
         clauses = self.clauses
-        pos = start_pos
-        while remaining:
-            t = trail[pos]
-            pos -= 1
-            v = t if t > 0 else -t
-            if not seen[v]:
-                continue
-            seen[v] = 0
-            remaining -= 1
-            rci = reason[v]
+        tpos = self._tpos
+        heapify(heap)
+        while heap:
+            t = trail[-heappop(heap)]
+            rci = reason[t if t > 0 else -t]
             steps.append((rci, t))
             for q in clauses[rci]:
                 if q != t:
@@ -382,21 +403,22 @@ class Solver:
                     if not seen[u]:
                         seen[u] = 1
                         touched.append(u)
-                        remaining += 1
+                        heappush(heap, -tpos[u])
 
     def _refute_at_level0(self, confl: int):
         """Derive the empty clause from a conflict at decision level 0."""
         seen = self._seen
+        tpos = self._tpos
         steps: list[tuple[int, int]] = []
         touched: list[int] = []
-        remaining = 0
+        heap: list[int] = []
         for q in self.clauses[confl]:
             v = q if q > 0 else -q
             if not seen[v]:
                 seen[v] = 1
                 touched.append(v)
-                remaining += 1
-        self._sweep_level0(steps, touched, remaining, len(self.trail) - 1)
+                heap.append(-tpos[v])
+        self._sweep_level0(steps, touched, heap)
         node = self._chain_to_node(confl, steps)
         self.proof.note_clause(node, ())
         for v in touched:
@@ -414,9 +436,10 @@ class Solver:
         reason = self._reason
         trail = self.trail
         seen = self._seen
+        tpos = self._tpos
         cur_level = len(self.trail_lim)
         learnt: list[Lit] = []
-        l0_count = 0
+        l0_heap: list[int] = []
         steps: list[tuple[int, int]] = []
         touched: list[int] = []
         path = 0
@@ -441,7 +464,7 @@ class Solver:
                         learnt.append(q)
                         self._bump(v)
                     else:
-                        l0_count += 1
+                        l0_heap.append(-tpos[v])
             while True:
                 t = trail[idx]
                 v = t if t > 0 else -t
@@ -455,9 +478,8 @@ class Solver:
             idx -= 1
             if path == 0:
                 break
-        if l0_count:
-            limit = self.trail_lim[0]
-            self._sweep_level0(steps, touched, l0_count, limit - 1)
+        if l0_heap:
+            self._sweep_level0(steps, touched, l0_heap)
         learnt.insert(0, -p)
         node = self._chain_to_node(confl, steps)
         self.proof.note_clause(node, normalize_clause(learnt))
@@ -601,10 +623,10 @@ class Solver:
             next_lit = 0
             while len(self.trail_lim) < len(assumptions):
                 a = assumptions[len(self.trail_lim)]
-                va = self.value(a)
-                if va == 1:
+                va = self._vals[self._cap + a]
+                if va > 0:
                     self.trail_lim.append(len(self.trail))  # already true: dummy level
-                elif va == -1:
+                elif va < 0:
                     out = self._analyze_final(a)
                     self._backtrack(0)
                     self._last = out
@@ -634,7 +656,7 @@ class Solver:
     def _snapshot_model(self) -> dict[int, bool]:
         off = self._cap
         vals = self._vals
-        return {v: vals[off + v] == 1 for v in self._active_list}
+        return {v: vals[off + v] > 0 for v in self._active_list}
 
     def _satisfies_all(self, model: dict[int, bool]) -> bool:
         """True iff the model satisfies every clause, inputs and learnts."""

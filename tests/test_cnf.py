@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazysat import (
     DimacsError,
@@ -86,6 +88,24 @@ def test_normalize_sorts_and_dedupes():
     assert normalize_clause([2, -2]) == (2, -2)
     lit = -7
     assert -(-lit) == lit  # negation is an involution on int literals
+
+
+def _normalize_spec(lits):
+    return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
+
+
+def _is_tautology_spec(clause):
+    s = set(clause)
+    return any(-l in s for l in s)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=2000)
+@given(st.lists(st.integers(1, 12).flatmap(lambda v: st.sampled_from((v, -v))), max_size=10))
+def test_normalize_and_tautology_match_their_reference_definitions(lits):
+    assert normalize_clause(lits) == _normalize_spec(lits)
+    assert normalize_clause(iter(lits)) == _normalize_spec(lits)
+    assert is_tautology(lits) == _is_tautology_spec(lits)
+    assert is_tautology(frozenset(lits)) == _is_tautology_spec(lits)
 
 
 def test_eval_examples():

@@ -12,6 +12,14 @@ def test_add_input_basic():
     assert store.node(0) == ("I", (1,), LABEL_A)
 
 
+def test_input_with_literal_zero_is_rejected_not_called_tautological():
+    store = ProofStore()
+    for clause in ((0,), (0, 2), (-1, 0)):
+        with pytest.raises(ProofError, match="literal 0"):
+            store.add_input(clause, LABEL_A)
+    assert len(store) == 0
+
+
 def test_identical_inputs_get_distinct_ids():
     store = ProofStore()
     a = store.add_input((1, -2), LABEL_A)
@@ -116,6 +124,13 @@ def test_reachable_subproof_preserves_check():
         reach = s.proof.reachable(out.refutation)
         assert len(reach) <= len(s.proof)
         assert reach == sorted(reach)
+        # children precede parents, so one descending pass marks the closure
+        marked = {out.refutation}
+        for nid in range(out.refutation, -1, -1):
+            if nid in marked and not s.proof.is_input(nid):
+                _, left, right, _ = s.proof.node(nid)
+                marked |= {left, right}
+        assert reach == sorted(marked)
 
 
 def test_checked_refutations_have_unsat_leaf_conjunction():

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from tests.helpers import (
     check_interpolant,
     count_projected_models,
     holds_under,
+    pigeonhole,
     random_3cnf,
 )
 
@@ -201,3 +203,48 @@ def test_stats_records_shape():
     assert r.stats.peak_itp_nodes >= 1
     for rec in r.stats.records:
         assert rec.seconds >= 0 and rec.itp_nodes >= 1 and rec.g_clauses >= 1
+
+
+# Exact counts of fixed runs: (verdict, rounds, G clauses, interpolants,
+# G conflicts, per-partition conflicts, G proof nodes, per-partition proof
+# nodes).  A change meant to leave the search as it is keeps all of them;
+# a change to branching, propagation order or proof logging moves some.
+_FINGERPRINTS = [
+    ("php6-k1", pigeonhole(6, 5), 1, ItpSystem.MCMILLAN,
+     ("UNSAT", 2, 2, 1, 0, (139,), 3, (1393,))),
+    ("php7-k10-mcmillan", pigeonhole(7, 6), 10, ItpSystem.MCMILLAN,
+     ("UNSAT", 112, 760, 133, 1006, (0,) * 10, 21063,
+      (230, 65, 65, 70, 65, 65, 70, 65, 65, 70))),
+    ("php7-k10-hkp", pigeonhole(7, 6), 10, ItpSystem.HKP,
+     ("UNSAT", 99, 744, 132, 691, (0,) * 10, 14977,
+      (217, 65, 65, 70, 65, 65, 70, 65, 65, 70))),
+    ("rand3-n20-seed4-k2", random_3cnf(random.Random(4), 20, 85), 2, ItpSystem.MCMILLAN,
+     ("UNSAT", 51, 1129, 88, 44, (8, 4), 1626, (468, 512))),
+]
+
+
+@pytest.mark.parametrize(
+    "f,k,system,expect", [fp[1:] for fp in _FINGERPRINTS], ids=[fp[0] for fp in _FINGERPRINTS]
+)
+def test_search_fingerprints_are_unchanged(monkeypatch, f, k, system, expect):
+    module = importlib.import_module("lazysat.reconcile")
+    real_solver = module.Solver
+    made = []
+
+    def solver(*args, **kwargs):
+        made.append(real_solver(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, "Solver", solver)
+    r = reconcile(f, k, system)
+    g, parts = made[0], made[1:]  # G is the first solver reconcile makes
+    assert (
+        r.verdict,
+        r.stats.rounds,
+        r.stats.g_clause_count,
+        r.stats.interpolants,
+        g.n_conflicts,
+        tuple(p.n_conflicts for p in parts),
+        len(g.proof),
+        tuple(len(p.proof) for p in parts),
+    ) == expect

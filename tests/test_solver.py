@@ -44,6 +44,14 @@ def test_add_tautology_is_ignored():
     assert isinstance(s.solve(), Sat)
 
 
+def test_literal_zero_in_a_clause_is_rejected():
+    s = Solver()
+    for lits in ([0, 1], [0], [-2, 0, 3]):
+        with pytest.raises(ValueError, match="literal 0"):
+            s.add_clause(lits)
+    assert len(s.proof) == 0 and s.clauses == []
+
+
 def test_add_to_unsat_solver_is_noop():
     s = Solver()
     s.add_clause([1])
@@ -145,6 +153,46 @@ def test_add_clause_unit_under_level0_assignment():
     out = s.solve()
     assert isinstance(out, Sat)
     assert out.model == {1: True, 2: True, 3: True}
+
+
+def _watch_lists_holding(s, ci):
+    return [lit - s._cap for lit, ws in enumerate(s._watches) if ci in ws]
+
+
+def test_value_of_level0_literals_is_plus_minus_one():
+    s = Solver()
+    s.add_clause([1])
+    s.add_clause([-1, -2])  # propagates -2 at level 0
+    assert [s.value(l) for l in (1, -1, 2, -2, 3)] == [1, -1, -1, 1, 0]
+    out = s.solve()
+    assert out.model == {1: True, 2: False}
+    assert all(type(b) is bool for b in out.model.values())
+
+
+def test_clause_satisfied_at_level0_when_added_is_not_watched():
+    s = Solver()
+    s.add_clause([2])
+    ci = s.add_clause([1, 2, 3])  # true literal not in the first watch slot
+    cj = s.add_clause([-2, 3, 4])  # falsified literal, two free ones: watched
+    assert _watch_lists_holding(s, ci) == []
+    assert sorted(_watch_lists_holding(s, cj)) == [3, 4]
+    assert s.clauses[ci] == [1, 2, 3]  # still stored for analysis and checks
+    assert isinstance(s.solve([-1, -3]), Sat)
+
+
+def test_clause_satisfied_at_level0_later_leaves_the_visiting_watch_list():
+    s = Solver()
+    ci = s.add_clause([1, 2])
+    keep = s.add_clause([3, 4])
+    assert sorted(_watch_lists_holding(s, ci)) == [1, 2]
+    # 4 true above level 0 when 3 is falsified: the watch must stay
+    assert isinstance(s.solve([4, -3]), Sat)
+    assert sorted(_watch_lists_holding(s, keep)) == [3, 4]
+    s.add_clause([2])  # 2 true at level 0 while ci's watch on 1 is not visited
+    assert sorted(_watch_lists_holding(s, ci)) == [1, 2]
+    s.add_clause([-1])  # falsifies 1: the visit finds 2 true at level 0
+    assert _watch_lists_holding(s, ci) == [2]
+    assert s.solve().model == {1: False, 2: True, 3: False, 4: True}
 
 
 def test_models_are_total_and_satisfying():
