@@ -53,13 +53,19 @@ class ProofStore:
             raise ProofError(f"dangling proof node id {node_id}")
 
     def add_input(self, clause, label: str) -> int:
-        if label not in (LABEL_A, LABEL_B):
-            raise ProofError(f"bad label {label!r}")
+        """Validating construction; use _append_input on trusted paths."""
         norm = normalize_clause(clause)
         if norm and norm[0] == 0:
             raise ProofError(f"literal 0 in input clause {norm}")
         if is_tautology(norm):
             raise ProofError(f"tautological input clause {norm}")
+        return self._append_input(norm, label)
+
+    def _append_input(self, norm: Clause, label: str) -> int:
+        """Store a clause the caller has already normalized and found free
+        of literal 0 and tautologies; only the label is checked here."""
+        if label not in (LABEL_A, LABEL_B):
+            raise ProofError(f"bad label {label!r}")
         node_id = len(self._pivot)
         self._left.append(-1)
         self._right.append(-1)
@@ -131,28 +137,32 @@ class ProofStore:
         return normalize_clause(computed[node_id])
 
     def reachable(self, root: int) -> list[int]:
-        """Node ids reachable from root, ascending (children before parents).
+        """Node ids reachable from root, ascending (children before parents)."""
+        return self._reach(root)[0]
 
-        Only the nodes reached are visited and sorted; the marks are one
-        zeroed byte per stored node, filled in C, which takes less memory
-        than a set of the reached ids.
+    def _reach(self, root: int) -> tuple[list[int], array]:
+        """reachable(root), and for every stored node the number of edges
+        into it from reachable resolvents (0 for root and unreached nodes).
+
+        Only the nodes reached are visited and sorted; the counts, which
+        also serve as the marks, are one zeroed int per stored node, filled
+        in C, which takes less memory than a set of the reached ids.
         """
         self._check_id(root)
         pivot, left, right = self._pivot, self._left, self._right
-        marked = bytearray(len(pivot))
-        marked[root] = 1
+        uses = array("i", [0]) * len(pivot)
         reached = [root]
         stack = [root]
         while stack:
             nid = stack.pop()
             if pivot[nid] >= 0:
                 for child in (left[nid], right[nid]):
-                    if not marked[child]:
-                        marked[child] = 1
+                    if not uses[child]:
                         reached.append(child)
                         stack.append(child)
+                    uses[child] += 1
         reached.sort()
-        return reached
+        return reached, uses
 
     def reachable_inputs(self, root: int) -> list[int]:
         return [i for i in self.reachable(root) if self._pivot[i] < 0]
@@ -160,20 +170,35 @@ class ProofStore:
     def check_refutation(self, root: int) -> bool:
         """True iff root derives the empty clause and every reachable
         resolvent is a genuine non-tautological resolution of its children.
-        Clauses are recomputed bottom-up; nothing stored is trusted."""
+
+        Clauses are recomputed bottom-up from the input clauses; nothing
+        stored is trusted.  Each reachable node's uses by reachable parents
+        are counted first, and its clause is dropped once the last of them
+        has read it, so memory follows the proof's live frontier, not its
+        size.
+        """
+        order, uses = self._reach(root)
+        pivot, left, right, inputs = self._pivot, self._left, self._right, self._inputs
         clauses: dict[int, frozenset] = {}
-        for nid in self.reachable(root):
-            if self._pivot[nid] < 0:
-                clauses[nid] = frozenset(self._inputs[nid][0])
+        for nid in order:
+            p = pivot[nid]
+            if p < 0:
+                clauses[nid] = frozenset(inputs[nid][0])
                 continue
-            left, right, pivot = self._left[nid], self._right[nid], self._pivot[nid]
-            lc, rc = clauses[left], clauses[right]
-            if pivot not in lc or -pivot not in rc:
+            l, r = left[nid], right[nid]
+            lc, rc = clauses[l], clauses[r]
+            if p not in lc or -p not in rc:
                 return False
-            resolvent = lc - {pivot} | (rc - {-pivot})
+            resolvent = lc - {p} | (rc - {-p})
             if is_tautology(resolvent):
                 return False
             clauses[nid] = resolvent
+            uses[l] -= 1
+            if not uses[l]:
+                del clauses[l]
+            uses[r] -= 1
+            if not uses[r]:
+                del clauses[r]
         return not clauses[root]
 
     def dump(self, root: int | None = None) -> str:

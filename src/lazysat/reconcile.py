@@ -9,10 +9,19 @@ refutation of (partition and m) and conjoin it to G.  A round with no
 refusals assembles and verifies a full model; G becoming unsatisfiable
 proves the input unsatisfiable.
 
-Interpolants from all failing partitions of a round are conjoined before G
-is re-solved, in ascending partition order, and all solvers are incremental
-across rounds.  Everything is deterministic unless a seeded random
-completion for unconstrained shared variables is requested.
+A partition whose clauses alone are contradictory refutes the input
+itself: its interpolant could only be false, so the run ends there with
+UNSAT and that partition's own refutation, whose leaves are input clauses
+of f, is the certificate.  No interpolant is built and G is not solved
+again.  At k=1 every UNSAT verdict is reached this way, in round 1.
+
+A partition is asked again only when it has no model from a Sat call, or
+when a shared variable it contains changed value since the previous
+round: otherwise the solver would hand back the same model through model
+reuse.  Interpolants from all failing partitions of a round are conjoined
+before G is re-solved, in ascending partition order, and all solvers are
+incremental across rounds.  Everything is deterministic unless a seeded
+random completion for unconstrained shared variables is requested.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .decomp import Decomposition, decompose_lazy
 from .itp import ItpSystem, interpolant_from_proof
 from .proof import LABEL_A, ProofStore
 from .rbc import RbcRef, RbcStore
-from .solver import BudgetExceeded, Sat, Solver
+from .solver import BudgetExceeded, Sat, Solver, Unsat
 
 DEFAULT_MAX_ROUNDS = 100_000
 
@@ -72,6 +81,9 @@ class ReconcileResult:
     model: dict[int, bool] | None
     stats: ReconcileStats
     exhausted: str | None = None  # "rounds" | "time" when verdict is UNKNOWN
+    # The refutation that decided UNSAT: G's, or that of a partition whose
+    # clauses alone are contradictory, whose leaves are then clauses of f.
+    # check_refutation verifies either as it stands.
     g_proof: ProofStore | None = None
     g_refutation: int | None = None
 
@@ -139,6 +151,11 @@ def reconcile(
     def exhausted(kind: str) -> ReconcileResult:
         return finish(ReconcileResult("UNKNOWN", None, stats, exhausted=kind))
 
+    def refuted(proof: ProofStore, root: int) -> ReconcileResult:
+        return finish(
+            ReconcileResult("UNSAT", None, stats, g_proof=proof, g_refutation=root)
+        )
+
     rbc = RbcStore()
     g = Solver()
     g_clauses: list[Clause] = []
@@ -154,7 +171,15 @@ def reconcile(
         sorted(part.vars & decomposition.shared_vars)
         for part in decomposition.partitions
     ]
+    parts_of: dict[int, list[int]] = {v: [] for v in shared_sorted}
+    for i, vs in enumerate(part_shared):
+        for v in vs:
+            parts_of[v].append(i)
     rng = random.Random(completion_seed) if completion_seed is not None else None
+    # A partition's model from its last Sat call, kept while it still answers
+    # the current shared model; dropped when the partition refuses.
+    extensions: dict[int, dict[int, bool]] = {}
+    prev_m: dict[int, bool] = {}
 
     for round_idx in range(max_rounds):
         stats.rounds = round_idx + 1
@@ -164,15 +189,7 @@ def reconcile(
             return exhausted("time")
         stats.g_solves += 1
         if not isinstance(g_out, Sat):
-            return finish(
-                ReconcileResult(
-                    "UNSAT",
-                    None,
-                    stats,
-                    g_proof=g.proof,
-                    g_refutation=g_out.refutation,
-                )
-            )
+            return refuted(g.proof, g_out.refutation)
         g_model = g_out.model
         m = {}
         for v in shared_sorted:
@@ -183,9 +200,16 @@ def reconcile(
             else:
                 m[v] = rng.random() < 0.5
 
+        # Only partitions with no extension, or with a shared variable whose
+        # value moved, can answer differently from their last Sat call.
+        to_call = {i for i in range(len(parts)) if i not in extensions}
+        for v in shared_sorted:
+            if prev_m.get(v) != m[v]:
+                to_call.update(parts_of[v])
+        prev_m = m
         any_failed = False
-        extensions: dict[int, dict[int, bool]] = {}
-        for i, part_solver in enumerate(parts):
+        for i in sorted(to_call):
+            part_solver = parts[i]
             if deadline is not None and time.monotonic() > deadline:
                 return exhausted("time")
             assumptions = [v if m[v] else -v for v in part_shared[i]]
@@ -198,6 +222,11 @@ def reconcile(
             if isinstance(out, Sat):
                 extensions[i] = out.model
                 continue
+            if isinstance(out, Unsat):
+                # The partition's clauses alone are contradictory: its own
+                # refutation, over input clauses of f only, decides the run.
+                return refuted(part_solver.proof, out.refutation)
+            extensions.pop(i, None)
             any_failed = True
             root = part_solver.labeled_refutation(assumptions)
             ref = interpolant_from_proof(part_solver.proof, root, system, rbc)

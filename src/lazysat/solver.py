@@ -181,7 +181,7 @@ class Solver:
             return SENTINEL
         for l in norm:
             self._activate(abs(l))
-        node = self.proof.add_input(norm, label)
+        node = self.proof._append_input(norm, label)  # checked just above
         ci = len(self.clauses)
         off = self._cap
         vals = self._vals

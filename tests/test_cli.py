@@ -193,7 +193,7 @@ def test_bench_golden_stable_columns(bench_dir, tmp_path):
     stable = [(r[0], r[1], r[2], r[3], r[5], r[6], r[7]) for r in rows]
     assert stable == [
         ("a_sat.cnf", "1", "mcmillan", "SAT", "1", "0", "0"),
-        ("b_unsat.cnf", "1", "mcmillan", "UNSAT", "2", "2", "1"),
+        ("b_unsat.cnf", "1", "mcmillan", "UNSAT", "1", "0", "0"),
         ("c_broken.cnf", "1", "mcmillan", "ERROR", "", "", ""),
         ("a_sat.cnf", "1", "mcmillan", "BEST", "", "", ""),
         ("b_unsat.cnf", "1", "mcmillan", "BEST", "", "", ""),

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from lazysat import (
+    LABEL_A,
     Formula,
     ItpSystem,
+    Sat,
     assemble_model,
     decompose_lazy,
     eval_formula,
@@ -211,7 +213,7 @@ def test_stats_records_shape():
 # a change to branching, propagation order or proof logging moves some.
 _FINGERPRINTS = [
     ("php6-k1", pigeonhole(6, 5), 1, ItpSystem.MCMILLAN,
-     ("UNSAT", 2, 2, 1, 0, (139,), 3, (1393,))),
+     ("UNSAT", 1, 0, 0, 0, (139,), 0, (1393,))),
     ("php7-k10-mcmillan", pigeonhole(7, 6), 10, ItpSystem.MCMILLAN,
      ("UNSAT", 112, 760, 133, 1006, (0,) * 10, 21063,
       (230, 65, 65, 70, 65, 65, 70, 65, 65, 70))),
@@ -248,3 +250,85 @@ def test_search_fingerprints_are_unchanged(monkeypatch, f, k, system, expect):
         len(g.proof),
         tuple(len(p.proof) for p in parts),
     ) == expect
+
+
+def _unsat_3cnfs(rng, count):
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 12)
+        f = random_3cnf(rng, n, rng.randint(4 * n, 6 * n))
+        if brute_force(f) is None:
+            out.append(f)
+    return out
+
+
+_SELF_REFUTING = [
+    ("php5-k1", pigeonhole(5, 4), 1),
+    ("x-notx-first-k2", Formula(((1,), (-1,), (1, 2), (-2, 3)), 3), 2),
+] + [(f"rand3-unsat{i}-k1", f, 1) for i, f in enumerate(_unsat_3cnfs(random.Random(109), 6))]
+
+
+@pytest.mark.parametrize(
+    "f,k", [c[1:] for c in _SELF_REFUTING], ids=[c[0] for c in _SELF_REFUTING]
+)
+def test_partition_that_refutes_itself_ends_the_run_with_its_own_refutation(f, k):
+    # at k=2 the first partition is {(x1), (-x1)}: contradictory on its own
+    seen = []
+    r = reconcile(f, k, on_interpolant=seen.append)
+    assert r.verdict == "UNSAT"
+    assert (r.stats.rounds, r.stats.g_solves, r.stats.interpolants) == (1, 1, 0)
+    assert r.stats.g_clause_count == 0 and seen == []
+    assert r.g_proof.check_refutation(r.g_refutation)
+    clauses_of_f = {normalize_clause(c) for c in f.clauses}
+    leaves = r.g_proof.reachable_inputs(r.g_refutation)
+    assert leaves
+    for leaf in leaves:
+        _, clause, label = r.g_proof.node(leaf)
+        assert label == LABEL_A and clause in clauses_of_f
+
+
+def _log_partition_calls(monkeypatch):
+    """Record (partition, assumptions, outcome is Sat) for every partition
+    solve of the next reconcile calls."""
+    module = importlib.import_module("lazysat.reconcile")
+    real_solver = module.Solver
+    made = []
+    calls = []
+
+    def solver(*args, **kwargs):
+        s = real_solver(*args, **kwargs)
+        index = len(made) - 1  # -1 is G, the first solver reconcile makes
+        made.append(s)
+        real_solve = s.solve
+
+        def solve(assumptions=(), **kw):
+            out = real_solve(assumptions, **kw)
+            if index >= 0:
+                calls.append((index, tuple(assumptions), isinstance(out, Sat)))
+            return out
+
+        s.solve = solve
+        return s
+
+    monkeypatch.setattr(module, "Solver", solver)
+    return calls
+
+
+def test_partition_is_not_asked_again_with_the_assumptions_it_answered(monkeypatch):
+    rng = random.Random(113)
+    cases = [(pigeonhole(7, 6), 10, ItpSystem.MCMILLAN, False),
+             (pigeonhole(6, 5), 4, ItpSystem.HKP, False)]
+    for _ in range(20):
+        n = rng.randint(6, 16)
+        f = random_3cnf(rng, n, rng.randint(3 * n, 5 * n))
+        k = min(rng.choice((2, 3, 5)), len(f.clauses))
+        cases.append((f, k, rng.choice(list(ItpSystem)), brute_force(f) is not None))
+    for f, k, system, sat in cases:
+        calls = _log_partition_calls(monkeypatch)
+        r = reconcile(f, k, system)
+        monkeypatch.undo()
+        assert r.verdict == ("SAT" if sat else "UNSAT")
+        last = {}
+        for i, assumptions, answered in calls:
+            assert last.get(i) != (assumptions, True), (f, k, system, i)
+            last[i] = (assumptions, answered)
