@@ -9,7 +9,7 @@ growing until either some proposal extends everywhere (SAT) or G itself
 becomes contradictory (UNSAT).
 """
 
-from lazysat import Formula, decompose_lazy, normalize_clause, reconcile
+from lazysat import Formula, Round, decompose_lazy, normalize_clause, reconcile
 
 # A small unsatisfiable instance: an xor-style chain with contradictory ends.
 clauses = [
@@ -25,19 +25,24 @@ for p in d.partitions:
 print(f"shared variables: {sorted(d.shared_vars)}\n")
 
 
-def show_round(round_idx, m, g_clauses):
-    model = " ".join(f"x{v}={'T' if b else 'F'}" for v, b in sorted(m.items()))
-    print(f"round {round_idx}: proposed {model}; G now has {len(g_clauses)} clauses")
+g_size = 0
 
 
-def show_interpolant(rec):
-    print(
-        f"  partition {rec.partition} refused: interpolant of {rec.rbc.dag_size(rec.ref)}"
-        f" circuit nodes over vars {sorted(rec.rbc.vars(rec.ref))}"
-    )
+def show(event):
+    global g_size
+    if isinstance(event, Round):
+        model = " ".join(f"x{v}={'T' if b else 'F'}" for v, b in sorted(event.m.items()))
+        print(f"round {event.index}: G has {g_size} clauses and proposes {model}")
+    else:  # an Interpolant
+        g_size += len(event.g_clauses)
+        print(
+            f"  partition {event.partition} refused: interpolant of"
+            f" {event.rbc.dag_size(event.ref)} circuit nodes over vars"
+            f" {sorted(event.rbc.vars(event.ref))}, {len(event.g_clauses)} clauses into G"
+        )
 
 
-result = reconcile(f, 2, on_round=show_round, on_interpolant=show_interpolant)
+result = reconcile(f, 2, on_event=show)
 print(f"\nverdict: {result.verdict} after {result.stats.rounds} rounds,"
       f" {result.stats.interpolants} interpolants,"
       f" {result.stats.g_clause_count} clauses conjoined to G")

@@ -6,33 +6,23 @@ from .cnf import (
     Formula,
     Lit,
     eval_formula,
-    is_tautology,
     normalize_clause,
     parse_dimacs,
     write_dimacs,
 )
-from .decomp import Decomposition, Partition, decompose_lazy, shared_and_private
-from .itp import (
-    A_LOCAL,
-    B_LOCAL,
-    SHARED,
-    ItpSystem,
-    initial_interpolant,
-    interpolant_from_proof,
-    resolve_interpolant,
-    var_classes,
-)
+from .decomp import Decomposition, Partition, decompose_lazy
+from .itp import ItpSystem, interpolant_from_proof
 from .proof import LABEL_A, LABEL_B, ProofError, ProofStore
-from .rbc import FALSE, TRUE, RbcRef, RbcStore, mk_not
+from .rbc import RbcRef, RbcStore
 from .reconcile import (
-    InterpolantRecord,
+    Event,
+    Interpolant,
     ReconcileResult,
     ReconcileStats,
-    assemble_model,
+    Round,
     reconcile,
 )
 from .solver import (
-    SENTINEL,
     BudgetExceeded,
     Sat,
     SolveOutcome,
@@ -44,15 +34,13 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_LOCAL",
-    "B_LOCAL",
     "BudgetExceeded",
     "Clause",
     "Decomposition",
     "DimacsError",
-    "FALSE",
+    "Event",
     "Formula",
-    "InterpolantRecord",
+    "Interpolant",
     "ItpSystem",
     "LABEL_A",
     "LABEL_B",
@@ -64,26 +52,17 @@ __all__ = [
     "RbcStore",
     "ReconcileResult",
     "ReconcileStats",
-    "SENTINEL",
-    "SHARED",
+    "Round",
     "Sat",
     "SolveOutcome",
     "Solver",
-    "TRUE",
     "Unsat",
     "UnsatUnderAssumptions",
-    "assemble_model",
     "decompose_lazy",
     "eval_formula",
-    "initial_interpolant",
     "interpolant_from_proof",
-    "is_tautology",
-    "mk_not",
     "normalize_clause",
     "parse_dimacs",
     "reconcile",
-    "resolve_interpolant",
-    "shared_and_private",
-    "var_classes",
     "write_dimacs",
 ]

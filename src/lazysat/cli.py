@@ -11,7 +11,9 @@ Subcommands:
 
 CSV schema is fixed: ``file,k,system,verdict,seconds,rounds,g_clauses,
 itp_nodes``.  Timeouts are reported as UNKNOWN with seconds equal to the
-budget.  Summary rows carry verdict BEST, the winning k, and its time.
+budget.  A file that does not parse, or has fewer clauses than k, gives an
+ERROR row.  Summary rows carry verdict BEST, the winning k, and its time.
+Bad arguments print an ``error:`` line and exit 1 before anything is solved.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 from .cnf import Formula, parse_dimacs
 from .itp import ItpSystem
-from .reconcile import DEFAULT_MAX_ROUNDS, ReconcileResult, reconcile
+from .reconcile import DEFAULT_MAX_ROUNDS, Interpolant, ReconcileResult, reconcile
 
 CSV_FIELDS = ("file", "k", "system", "verdict", "seconds", "rounds", "g_clauses", "itp_nodes")
 
@@ -53,22 +55,21 @@ def run_one(
     timeout: float | None,
     seed: int | None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    on_interpolant=None,
-) -> tuple[RunRecord, ReconcileResult | None]:
-    """One reconciliation run distilled into a CSV row (plus the raw result)."""
+    on_event=None,
+) -> tuple[RunRecord, ReconcileResult]:
+    """One reconciliation run distilled into a CSV row (plus the raw result).
+
+    Raises ValueError, as ``reconcile`` does, when k is outside
+    1..len(f.clauses) for a formula with clauses.
+    """
     t0 = time.monotonic()
-    try:
-        result = reconcile(
-            f, k, system,
-            max_rounds=max_rounds,
-            timeout=timeout,
-            completion_seed=seed,
-            on_interpolant=on_interpolant,
-        )
-    except ValueError as exc:
-        record = RunRecord(name, k, system.value, "ERROR", round(time.monotonic() - t0, 3), "", "", "")
-        record.error = str(exc)  # type: ignore[attr-defined]
-        return record, None
+    result = reconcile(
+        f, k, system,
+        max_rounds=max_rounds,
+        timeout=timeout,
+        completion_seed=seed,
+        on_event=on_event,
+    )
     elapsed = time.monotonic() - t0
     if result.exhausted == "time" and timeout is not None:
         seconds = float(timeout)
@@ -87,11 +88,23 @@ def run_one(
     return record, result
 
 
-def _write_csv(records: list[RunRecord], out: str | None):
+def _error_row(name: str, k: int, system: ItpSystem) -> RunRecord:
+    return RunRecord(name, k, system.value, "ERROR", "", "", "", "")
+
+
+def _csv_row(f: Formula, name: str, k: int, system: ItpSystem, args) -> RunRecord:
+    """run_one's row, or an ERROR row when f has fewer clauses than k."""
+    try:
+        return run_one(f, name, k, system, args.timeout, args.seed)[0]
+    except ValueError:
+        return _error_row(name, k, system)
+
+
+def _write_csv(rows: list[RunRecord], out: str | None):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_FIELDS)
-    for r in records:
+    for r in rows:
         writer.writerow(astuple(r))
     text = buf.getvalue()
     if out is None or out == "-":
@@ -125,22 +138,24 @@ def cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return 1
-    dump_hook = None
+    dump_itp = None
     if args.dump_itp:
         dump_dir = Path(args.dump_itp)
-        dump_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            dump_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --dump-itp: {exc}", file=sys.stderr)
+            return 1
 
-        def dump_hook(rec):
-            path = dump_dir / f"itp_r{rec.round}_p{rec.partition}.dot"
-            path.write_text(rec.rbc.to_dot(rec.ref))
+        def dump_itp(event):
+            if isinstance(event, Interpolant):
+                path = dump_dir / f"itp_r{event.round}_p{event.partition}.dot"
+                path.write_text(event.rbc.to_dot(event.ref))
 
     record, result = run_one(
         f, args.file, args.partitions, system, args.timeout, args.seed,
-        on_interpolant=dump_hook,
+        on_event=dump_itp,
     )
-    if result is None:
-        print(f"error: {getattr(record, 'error', 'run failed')}", file=sys.stderr)
-        return 1
     if args.stats:
         print(f"c rounds {result.stats.rounds}")
         print(f"c g_clauses {result.stats.g_clause_count}")
@@ -182,6 +197,16 @@ def _parse_range(spec: str) -> tuple[int, int]:
     return a, b
 
 
+def _parse_counts(spec: str) -> list[int]:
+    try:
+        ks = [int(x) for x in spec.split(",") if x]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise SystemExit(f"error: bad partition list {spec!r}, expected counts >= 1 like 1,10,50")
+    return ks
+
+
 def cmd_sweep(args) -> int:
     try:
         f = _load(args.file)
@@ -190,11 +215,8 @@ def cmd_sweep(args) -> int:
         return 1
     system = _parse_system(args.itp)
     lo, hi = _parse_range(args.partitions)
-    records = []
-    for k in range(lo, hi + 1):
-        record, _ = run_one(f, args.file, k, system, args.timeout, args.seed)
-        records.append(record)
-    _write_csv(records, args.csv)
+    rows = [_csv_row(f, args.file, k, system, args) for k in range(lo, hi + 1)]
+    _write_csv(rows, args.csv)
     return 0
 
 
@@ -203,10 +225,10 @@ def cmd_bench(args) -> int:
     if not bench_dir.is_dir():
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
         return 1
-    ks = [int(x) for x in args.partitions.split(",") if x]
+    ks = _parse_counts(args.partitions)
     systems = [_parse_system(s) for s in args.itp.split(",") if s]
     files = sorted(bench_dir.glob("*.cnf"))
-    records: list[RunRecord] = []
+    rows: list[RunRecord] = []
     best: dict[tuple[str, str], tuple[float, int]] = {}
     for path in files:
         name = path.name
@@ -215,12 +237,12 @@ def cmd_bench(args) -> int:
         except (OSError, ValueError):
             for system in systems:
                 for k in ks:
-                    records.append(RunRecord(name, k, system.value, "ERROR", "", "", "", ""))
+                    rows.append(_error_row(name, k, system))
             continue
         for system in systems:
             for k in ks:
-                record, _ = run_one(f, name, k, system, args.timeout, args.seed)
-                records.append(record)
+                record = _csv_row(f, name, k, system, args)
+                rows.append(record)
                 key = (name, system.value)
                 if record.verdict in ("SAT", "UNSAT"):
                     t = float(record.seconds)
@@ -231,10 +253,10 @@ def cmd_bench(args) -> int:
             key = (path.name, system.value)
             if key in best:
                 t, k = best[key]
-                records.append(RunRecord(path.name, k, system.value, "BEST", t, "", "", ""))
+                rows.append(RunRecord(path.name, k, system.value, "BEST", t, "", "", ""))
             else:
-                records.append(RunRecord(path.name, "", system.value, "BEST", "", "", "", ""))
-    _write_csv(records, args.csv)
+                rows.append(RunRecord(path.name, "", system.value, "BEST", "", "", "", ""))
+    _write_csv(rows, args.csv)
     return 0
 
 
@@ -279,6 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if not args.timeout >= 0:  # NaN fails this comparison too
+        print(f"error: --timeout {args.timeout} is not a number of seconds >= 0", file=sys.stderr)
+        return 1
     return args.func(args)
 
 

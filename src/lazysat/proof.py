@@ -2,15 +2,15 @@
 
 Nodes are either labeled input clauses (label A or B) or binary resolvents
 (left child holds the pivot positively, right child negatively).  Resolvent
-clauses are not stored; they are recomputed on demand, and check_refutation
-always recomputes them from the children rather than trusting any cache.
+clauses are not stored, except those validated by add_resolvent; the others
+are recomputed on demand, and check_refutation always recomputes them from
+the children rather than trusting any cache.
 Node ids are dense and children always precede parents.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
 
 from .cnf import Clause, is_tautology, normalize_clause
 
@@ -29,8 +29,9 @@ class ProofStore:
         self._right = array("i")
         self._pivot = array("i")
         self._inputs: dict[int, tuple[Clause, str]] = {}
-        # Clause cache for inputs, validated resolvents, and trusted hints
-        # from the solver.  check_refutation never reads it.
+        # Clauses of the resolvents add_resolvent validated, so that proofs
+        # built by hand are checked step by step in linear time.
+        # check_refutation never reads it.
         self._clauses: dict[int, Clause] = {}
 
     def __len__(self) -> int:
@@ -71,7 +72,6 @@ class ProofStore:
         self._right.append(-1)
         self._pivot.append(-1)
         self._inputs[node_id] = (norm, label)
-        self._clauses[node_id] = norm
         return node_id
 
     def add_resolvent(self, left: int, right: int, pivot: int) -> int:
@@ -100,41 +100,29 @@ class ProofStore:
         self._pivot.append(pivot)
         return node_id
 
-    def note_clause(self, node_id: int, clause: Clause):
-        """Cache a clause known by construction (trusted, solver fast path)."""
-        self._check_id(node_id)
-        self._clauses[node_id] = clause
-
     def clause_of(self, node_id: int) -> Clause:
-        """The clause a node derives, computed from children where needed."""
-        cached = self._clauses.get(node_id)
-        if cached is not None:
-            return cached
+        """The clause a node derives: stored for inputs, cached for
+        resolvents built by add_resolvent, recomputed otherwise."""
         self._check_id(node_id)
-        computed: dict[int, frozenset] = {}
-        stack = [node_id]
-        while stack:
-            nid = stack[-1]
-            if nid in computed or nid in self._clauses:
-                stack.pop()
-                continue
-            left, right, pivot = self._left[nid], self._right[nid], self._pivot[nid]
-            child_clauses = []
-            missing = False
-            for child in (left, right):
-                known = self._clauses.get(child)
-                if known is None:
-                    known = computed.get(child)
-                if known is None:
-                    stack.append(child)
-                    missing = True
-                else:
-                    child_clauses.append(frozenset(known))
-            if missing:
-                continue
-            stack.pop()
-            computed[nid] = child_clauses[0] - {pivot} | (child_clauses[1] - {-pivot})
-        return normalize_clause(computed[node_id])
+        if self._pivot[node_id] < 0:
+            return self._inputs[node_id][0]
+        cached = self._clauses.get(node_id)
+        if cached is None:
+            cached = normalize_clause(self._derive(self.reachable(node_id))[node_id])
+        return cached
+
+    def _derive(self, ids) -> dict[int, frozenset]:
+        """The clause of every node in ``ids``, which must be ascending and
+        hold the children of each resolvent in it, recomputed bottom-up."""
+        pivot, left, right, inputs = self._pivot, self._left, self._right, self._inputs
+        clauses: dict[int, frozenset] = {}
+        for nid in ids:
+            p = pivot[nid]
+            if p < 0:
+                clauses[nid] = frozenset(inputs[nid][0])
+            else:
+                clauses[nid] = clauses[left[nid]] - {p} | (clauses[right[nid]] - {-p})
+        return clauses
 
     def reachable(self, root: int) -> list[int]:
         """Node ids reachable from root, ascending (children before parents)."""
@@ -205,27 +193,15 @@ class ProofStore:
         """Debug listing, one node per line:
         ``<id> I <label> <lits> 0`` or ``<id> R <left> <right> <pivot> <lits> 0``.
         """
-        ids: Iterator[int] = iter(self.reachable(root)) if root is not None else iter(
-            range(len(self._pivot))
-        )
+        ids = self.reachable(root) if root is not None else range(len(self._pivot))
+        clauses = self._derive(ids)
         lines = []
         for nid in ids:
-            lits = [str(l) for l in self.clause_of(nid)]
-            if self._pivot[nid] < 0:
-                _, label = self._inputs[nid]
-                lines.append(" ".join([str(nid), "I", label, *lits, "0"]))
+            p = self._pivot[nid]
+            if p < 0:
+                head = [str(nid), "I", self._inputs[nid][1]]
             else:
-                lines.append(
-                    " ".join(
-                        [
-                            str(nid),
-                            "R",
-                            str(self._left[nid]),
-                            str(self._right[nid]),
-                            str(self._pivot[nid]),
-                            *lits,
-                            "0",
-                        ]
-                    )
-                )
+                head = [str(nid), "R", str(self._left[nid]), str(self._right[nid]), str(p)]
+            lits = [str(l) for l in normalize_clause(clauses[nid])]
+            lines.append(" ".join([*head, *lits, "0"]))
         return "\n".join(lines) + ("\n" if lines else "")

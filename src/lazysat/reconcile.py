@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
-from .cnf import Clause, Formula, Lit, eval_formula
+from .cnf import Clause, Formula, eval_formula
 from .decomp import Decomposition, decompose_lazy
 from .itp import ItpSystem, interpolant_from_proof
 from .proof import LABEL_A, ProofStore
@@ -43,25 +43,33 @@ DEFAULT_MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
-class InterpolantRecord:
-    """One interpolant as handed to G, with its refutation's leaf context."""
+class Round:
+    """G's model of round ``index`` has been read into the shared model m."""
+
+    index: int
+    m: dict[int, bool]
+
+
+@dataclass(frozen=True)
+class Interpolant:
+    """One interpolant conjoined to G.
+
+    ``root`` is the labeled refutation in ``proof`` it was read from: its
+    A leaves are the partition's clauses, its B leaves the shared-model
+    units.  ``g_clauses`` are the clauses it put into G, its Tseitin
+    clauses followed by the unit asserting its root literal.
+    """
 
     round: int
     partition: int
     ref: RbcRef
     rbc: RbcStore
-    a_leaves: tuple[Clause, ...]
-    b_leaves: tuple[Clause, ...]
+    proof: ProofStore
+    root: int
+    g_clauses: tuple[Clause, ...]
 
 
-@dataclass
-class RoundRecord:
-    round: int
-    partition: int
-    seconds: float
-    proof_nodes: int
-    itp_nodes: int
-    g_clauses: int
+Event = Round | Interpolant
 
 
 @dataclass
@@ -71,8 +79,6 @@ class ReconcileStats:
     g_clause_count: int = 0
     peak_itp_nodes: int = 0
     interpolants: int = 0
-    wall_seconds: float = 0.0
-    records: list[RoundRecord] = field(default_factory=list)
 
 
 @dataclass
@@ -123,42 +129,40 @@ def reconcile(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     timeout: float | None = None,
     completion_seed: int | None = None,
-    on_interpolant: Callable[[InterpolantRecord], None] | None = None,
-    on_round: Callable[[int, dict[int, bool], list[Clause]], None] | None = None,
+    on_event: Callable[[Event], None] | None = None,
 ) -> ReconcileResult:
     """Decide f by reconciling k lazy partitions; see the module docstring.
 
     A formula with no clauses is satisfiable for any k, with every variable
     false.
 
-    ``on_interpolant`` observes every interpolant conjoined to G;
-    ``on_round`` observes (round index, shared model, G's clause list so far)
-    after each round's refinements.  Both are for instrumentation and tests.
+    ``on_event``, when given, is called synchronously with each event of
+    the loop, in order:
+
+    * ``Round(index, m)`` once per round in which G is satisfiable, after
+      G's model has been read into the shared model m and before any
+      partition is asked to extend it;
+    * ``Interpolant(...)`` for each partition that refuses m, after its
+      interpolant has been conjoined to G, in ascending partition order.
+
+    A run that ends on G's refutation, on a self-refuting partition or on
+    an exhausted budget emits nothing more.
     """
-    t_start = time.monotonic()
-    deadline = t_start + timeout if timeout is not None else None
+    deadline = time.monotonic() + timeout if timeout is not None else None
     stats = ReconcileStats()
-
-    def finish(result: ReconcileResult) -> ReconcileResult:
-        stats.wall_seconds = time.monotonic() - t_start
-        return result
-
     if not f.clauses:
         model = {v: False for v in range(1, f.num_vars + 1)}
-        return finish(ReconcileResult("SAT", model, stats))
+        return ReconcileResult("SAT", model, stats)
     decomposition = decompose_lazy(f, k)
 
     def exhausted(kind: str) -> ReconcileResult:
-        return finish(ReconcileResult("UNKNOWN", None, stats, exhausted=kind))
+        return ReconcileResult("UNKNOWN", None, stats, exhausted=kind)
 
     def refuted(proof: ProofStore, root: int) -> ReconcileResult:
-        return finish(
-            ReconcileResult("UNSAT", None, stats, g_proof=proof, g_refutation=root)
-        )
+        return ReconcileResult("UNSAT", None, stats, g_proof=proof, g_refutation=root)
 
     rbc = RbcStore()
     g = Solver()
-    g_clauses: list[Clause] = []
     parts: list[Solver] = []
     for part in decomposition.partitions:
         s = Solver()
@@ -199,6 +203,8 @@ def reconcile(
                 m[v] = False
             else:
                 m[v] = rng.random() < 0.5
+        if on_event is not None:
+            on_event(Round(round_idx, m))
 
         # Only partitions with no extension, or with a shared variable whose
         # value moved, can answer differently from their last Sat call.
@@ -213,12 +219,10 @@ def reconcile(
             if deadline is not None and time.monotonic() > deadline:
                 return exhausted("time")
             assumptions = [v if m[v] else -v for v in part_shared[i]]
-            t0 = time.monotonic()
             try:
                 out = part_solver.solve(assumptions, deadline=deadline)
             except BudgetExceeded:
                 return exhausted("time")
-            dt = time.monotonic() - t0
             if isinstance(out, Sat):
                 extensions[i] = out.model
                 continue
@@ -230,39 +234,22 @@ def reconcile(
             any_failed = True
             root = part_solver.labeled_refutation(assumptions)
             ref = interpolant_from_proof(part_solver.proof, root, system, rbc)
-            itp_nodes = rbc.dag_size(ref)
             stats.interpolants += 1
-            if itp_nodes > stats.peak_itp_nodes:
-                stats.peak_itp_nodes = itp_nodes
-            if on_interpolant is not None:
-                proof = part_solver.proof
-                a_leaves = []
-                b_leaves = []
-                for leaf in proof.reachable_inputs(root):
-                    _, clause, label = proof.node(leaf)
-                    (a_leaves if label == LABEL_A else b_leaves).append(clause)
-                on_interpolant(
-                    InterpolantRecord(
-                        round_idx, i, ref, rbc, tuple(a_leaves), tuple(b_leaves)
-                    )
-                )
+            stats.peak_itp_nodes = max(stats.peak_itp_nodes, rbc.dag_size(ref))
             lowered, root_lit = rbc.to_cnf_tseitin(ref, fresh)
+            lowered.append((root_lit,))
             for c in lowered:
                 g.add_clause(c, LABEL_A)
-                g_clauses.append(c)
-            g.add_clause((root_lit,), LABEL_A)
-            g_clauses.append((root_lit,))
-            stats.g_clause_count = len(g_clauses)
-            stats.records.append(
-                RoundRecord(
-                    round_idx, i, dt, len(part_solver.proof), itp_nodes, len(g_clauses)
+            stats.g_clause_count += len(lowered)
+            if on_event is not None:
+                on_event(
+                    Interpolant(
+                        round_idx, i, ref, rbc, part_solver.proof, root, tuple(lowered)
+                    )
                 )
-            )
-        if on_round is not None:
-            on_round(round_idx, m, list(g_clauses))
         if not any_failed:
             model = assemble_model(m, extensions, decomposition)
             if not eval_formula(f, model):
                 raise RuntimeError("internal: assembled model fails the input formula")
-            return finish(ReconcileResult("SAT", model, stats))
+            return ReconcileResult("SAT", model, stats)
     return exhausted("rounds")

@@ -98,7 +98,6 @@ class Solver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.n_conflicts = 0
-        self.learn_hook = None  # callable(learnt_lits, value_of) for tests
         cap = 64
         self._cap = cap
         # index _cap + lit: 1 true, -1 false; +-2 when assigned at level 0
@@ -420,7 +419,6 @@ class Solver:
                 heap.append(-tpos[v])
         self._sweep_level0(steps, touched, heap)
         node = self._chain_to_node(confl, steps)
-        self.proof.note_clause(node, ())
         for v in touched:
             seen[v] = 0
         self.unsat_node = node
@@ -482,7 +480,6 @@ class Solver:
             self._sweep_level0(steps, touched, l0_heap)
         learnt.insert(0, -p)
         node = self._chain_to_node(confl, steps)
-        self.proof.note_clause(node, normalize_clause(learnt))
         for v in touched:
             seen[v] = 0
         if len(learnt) == 1:
@@ -543,7 +540,6 @@ class Solver:
         for v in touched:
             seen[v] = 0
         node = self._chain_to_node(rci, steps)
-        self.proof.note_clause(node, normalize_clause(-a for a in conflicting))
         return UnsatUnderAssumptions(tuple(conflicting), node)
 
     # ------------------------------------------------------------------
@@ -608,8 +604,6 @@ class Solver:
                     self._last = Unsat(self.unsat_node)
                     return self._last
                 learnt, bt, node = self._analyze(confl)
-                if self.learn_hook is not None:
-                    self.learn_hook(tuple(learnt), self.value)
                 self._backtrack(bt)
                 ci = self._install_learnt(learnt, node)
                 self._enqueue(learnt[0], ci)
@@ -675,7 +669,11 @@ class Solver:
     def labeled_refutation(self, b_units) -> int:
         """Extend the last unsatisfiable outcome to an empty-clause proof in
         which the B-labeled leaves are unit clauses over ``b_units`` and all
-        other leaves are this solver's A-labeled inputs."""
+        other leaves are this solver's A-labeled inputs.
+
+        The refutation under assumptions derives the clause of the negated
+        conflict assumptions, so resolving it with each assumption's unit
+        is sound by construction and is appended unvalidated."""
         last = self._last
         if last is None or isinstance(last, Sat):
             raise ValueError("labeled_refutation requires a preceding unsat solve")
@@ -684,11 +682,12 @@ class Solver:
         missing = set(last.conflict_assumptions) - set(b_units)
         if missing:
             raise ValueError(f"conflict assumptions {missing} not among b_units")
+        proof = self.proof
         node = last.refutation
         for a in last.conflict_assumptions:
-            unit = self.proof.add_input((a,), LABEL_B)
+            unit = proof._append_input((a,), LABEL_B)
             if a > 0:
-                node = self.proof.add_resolvent(unit, node, a)
+                node = proof._append_resolvent(unit, node, a)
             else:
-                node = self.proof.add_resolvent(node, unit, -a)
+                node = proof._append_resolvent(node, unit, -a)
         return node

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from lazysat import Formula, normalize_clause
+from lazysat import LABEL_A, Formula, normalize_clause
 from lazysat.rbc import RbcStore
 
 # ---------------------------------------------------------------------------
@@ -154,12 +154,32 @@ def rbc_table(store: RbcStore, ref: int, full: int, tables: dict[int, int]) -> i
     return ref_table(ref)
 
 
+def on_learnt(monkeypatch, solver, hook) -> None:
+    """Call hook(learnt literals, solver.value) for every clause the solver
+    learns, at learn time: after conflict analysis, before the backjump, so
+    the trail is still the one that falsified the clause."""
+    analyze = solver._analyze
+
+    def analyze_and_observe(confl):
+        out = analyze(confl)
+        hook(tuple(out[0]), solver.value)
+        return out
+
+    monkeypatch.setattr(solver, "_analyze", analyze_and_observe)
+
+
 def check_interpolant(rec) -> list[str]:
-    """Verify one InterpolantRecord against the interpolation contract:
+    """Verify one Interpolant event against the interpolation contract:
     the A side implies it, it contradicts the B side, and it only mentions
-    variables common to both sides.  Returns human-readable violations."""
-    va = {abs(l) for c in rec.a_leaves for l in c}
-    vb = {abs(l) for c in rec.b_leaves for l in c}
+    variables common to both sides.  The sides are the A- and B-labeled
+    leaves of the refutation it was read from.  Returns human-readable
+    violations."""
+    a_leaves, b_leaves = [], []
+    for leaf in rec.proof.reachable_inputs(rec.root):
+        _, clause, label = rec.proof.node(leaf)
+        (a_leaves if label == LABEL_A else b_leaves).append(clause)
+    va = {abs(l) for c in a_leaves for l in c}
+    vb = {abs(l) for c in b_leaves for l in c}
     problems = []
     ivars = rec.rbc.vars(rec.ref)
     if not ivars <= (va & vb):
@@ -167,10 +187,10 @@ def check_interpolant(rec) -> list[str]:
     all_vars = sorted(va | vb)
     full, tables = make_tables(all_vars)
     itab = rbc_table(rec.rbc, rec.ref, full, tables)
-    atab = cnf_table(rec.a_leaves, full, tables)
+    atab = cnf_table(a_leaves, full, tables)
     if atab & (full ^ itab):
         problems.append("A does not imply interpolant")
-    btab = cnf_table(rec.b_leaves, full, tables)
+    btab = cnf_table(b_leaves, full, tables)
     if itab & btab:
         problems.append("interpolant consistent with B")
     return problems

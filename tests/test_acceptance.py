@@ -22,6 +22,7 @@ from tests.helpers import (
     clause_table,
     cnf_table,
     make_tables,
+    on_learnt,
     pigeonhole,
     random_3cnf,
     random_circuit,
@@ -76,19 +77,21 @@ def corpus_runs():
     proof_failures = []
     counters = {"runs": 0, "interpolants": 0, "unsat_runs": 0}
 
-    def observe(rec):
+    def observe(event):
+        if not isinstance(event, Interpolant):
+            return
         counters["interpolants"] += 1
-        problems = check_interpolant(rec)
+        problems = check_interpolant(event)
         if problems:
-            itp_violations.append((rec.round, rec.partition, problems))
+            itp_violations.append((event.round, event.partition, problems))
 
-    from lazysat import reconcile
+    from lazysat import Interpolant, reconcile
 
     for idx, f in enumerate(_corpus()):
         want_sat = brute_force(f) is not None
         for k in K_VALUES:
             for system in ItpSystem:
-                r = reconcile(f, k, system, on_interpolant=observe)
+                r = reconcile(f, k, system, on_event=observe)
                 counters["runs"] += 1
                 if r.verdict != ("SAT" if want_sat else "UNSAT"):
                     mismatches.append((idx, k, system.value, r.verdict))
@@ -172,7 +175,7 @@ def test_criterion_3_worked_example_fixture():
     assert failures == []
 
 
-def test_criterion_4_conflict_clause_corollary():
+def test_criterion_4_conflict_clause_corollary(monkeypatch):
     rng = random.Random(CORPUS_SEED + 4)
     violations = []
     learnt_total = 0
@@ -192,7 +195,7 @@ def test_criterion_4_conflict_clause_corollary():
                 violations.append((idx, "not implied by formula", lits))
 
         s = Solver()
-        s.learn_hook = hook
+        on_learnt(monkeypatch, s, hook)
         for c in f.clauses:
             s.add_clause(c)
         s.solve()

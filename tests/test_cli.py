@@ -1,6 +1,11 @@
 import csv
 import io
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,7 @@ from lazysat.cli import CSV_FIELDS, main
 from tests.helpers import brute_force, naive_brute_force, pigeonhole, random_formula
 
 UNSAT_3CLAUSE = "p cnf 2 3\n1 2 0\n-1 0\n-2 0\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write(tmp_path, name, text):
@@ -211,3 +217,45 @@ def test_cmd_solve_agrees_with_brute_force_on_random_files(tmp_path, capsys):
         capsys.readouterr()
         want = 10 if brute_force(f) is not None else 20
         assert code == want
+
+
+_BAD_ARGS = {
+    "bench-partitions-not-numbers": ["bench", "{bench}", "--partitions", "a,b"],
+    "bench-partitions-zero": ["bench", "{bench}", "--partitions", "0"],
+    "solve-dump-itp-under-a-file": ["solve", "{cnf}", "-k", "2", "--dump-itp", "{cnf}/itp"],
+    "solve-timeout-nan": ["solve", "{cnf}", "--timeout", "nan"],
+    "sweep-timeout-negative": ["sweep", "{cnf}", "--partitions", "1..2", "--timeout", "-1"],
+    "bench-timeout-nan": ["bench", "{bench}", "--partitions", "1", "--timeout", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGS))
+def test_bad_arguments_give_a_clean_error_and_exit_1(tmp_path, case):
+    cnf = _write(tmp_path, "unsat.cnf", UNSAT_3CLAUSE)
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "unsat.cnf").write_text(UNSAT_3CLAUSE)
+    argv = [a.format(cnf=cnf, bench=bench) for a in _BAD_ARGS[case]]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lazysat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # refused before anything was solved
+
+
+def test_dump_itp_writes_one_dot_file_per_interpolant(tmp_path, capsys):
+    path = _write(tmp_path, "php.cnf", write_dimacs(pigeonhole(4, 3)))
+    dump_dir = tmp_path / "itp"
+    code = main(["solve", path, "-k", "2", "--stats", "--dump-itp", str(dump_dir)])
+    out = capsys.readouterr().out
+    assert code == 20
+    interpolants = int(re.search(r"^c interpolants (\d+)$", out, re.M).group(1))
+    names = sorted(p.name for p in dump_dir.iterdir())
+    assert interpolants >= 2 and len(names) == interpolants
+    for name in names:
+        assert re.fullmatch(r"itp_r\d+_p[01]\.dot", name), name
+        assert (dump_dir / name).read_text().startswith("digraph")

@@ -9,11 +9,11 @@ from lazysat import (
     DimacsError,
     Formula,
     eval_formula,
-    is_tautology,
     normalize_clause,
     parse_dimacs,
     write_dimacs,
 )
+from lazysat.cnf import is_tautology
 from tests.helpers import random_formula
 
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lazysat import Formula, decompose_lazy, normalize_clause, shared_and_private
+from lazysat import Formula, decompose_lazy, normalize_clause
+from lazysat.decomp import shared_and_private
 from tests.helpers import random_formula
 
 

@@ -5,23 +5,24 @@ import pytest
 
 import lazysat.itp as itp_mod
 from lazysat import (
-    A_LOCAL,
-    B_LOCAL,
-    FALSE,
     LABEL_A,
     LABEL_B,
-    SHARED,
     ItpSystem,
     ProofStore,
     RbcStore,
     Sat,
     Solver,
-    initial_interpolant,
     interpolant_from_proof,
-    mk_not,
+)
+from lazysat.itp import (
+    A_LOCAL,
+    B_LOCAL,
+    SHARED,
+    initial_interpolant,
     resolve_interpolant,
     var_classes,
 )
+from lazysat.rbc import FALSE, mk_not
 from tests.helpers import cnf_table, make_tables, random_formula, rbc_table
 
 

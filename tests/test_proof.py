@@ -14,8 +14,8 @@ from lazysat import (
     Solver,
     Unsat,
     UnsatUnderAssumptions,
-    is_tautology,
 )
+from lazysat.cnf import is_tautology
 from tests.helpers import cnf_table, make_tables, random_formula
 
 

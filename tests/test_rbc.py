@@ -4,7 +4,8 @@ from itertools import count
 
 import pytest
 
-from lazysat import FALSE, TRUE, RbcStore, mk_not
+from lazysat import RbcStore
+from lazysat.rbc import FALSE, TRUE, mk_not
 from tests.helpers import random_circuit as _random_circuit
 from tests.helpers import shadow_eval as _shadow_eval
 

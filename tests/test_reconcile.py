@@ -6,14 +6,16 @@ import pytest
 from lazysat import (
     LABEL_A,
     Formula,
+    Interpolant,
     ItpSystem,
+    Round,
     Sat,
-    assemble_model,
     decompose_lazy,
     eval_formula,
     normalize_clause,
     reconcile,
 )
+from lazysat.reconcile import assemble_model
 from tests.helpers import (
     brute_force,
     check_interpolant,
@@ -100,18 +102,18 @@ def test_soundness_matches_oracle_across_k_and_systems():
 def test_interpolants_satisfy_contract_during_runs():
     rng = random.Random(103)
     violations = []
+
+    def observe(event):
+        if isinstance(event, Interpolant):
+            violations.extend(check_interpolant(event))
+
     for _ in range(12):
         n = rng.randint(4, 12)
         f = random_3cnf(rng, n, rng.randint(2 * n, 5 * n))
         for k in (2, 3):
             if k > len(f.clauses):
                 continue
-            reconcile(
-                f,
-                k,
-                ItpSystem.MCMILLAN,
-                on_interpolant=lambda rec: violations.extend(check_interpolant(rec)),
-            )
+            reconcile(f, k, ItpSystem.MCMILLAN, on_event=observe)
     assert violations == []
 
 
@@ -129,15 +131,21 @@ def test_refining_rounds_strictly_shrink_gs_shared_models():
         shared = sorted(d.shared_vars)
         if not shared or len(shared) > 7:
             continue
-        trace = []
+        g_so_far = []
+        rounds = []  # [shared model, len(g_so_far) at the end of the round]
 
-        def observe(round_idx, m, g_clauses):
-            trace.append((dict(m), list(g_clauses)))
+        def observe(event):
+            if isinstance(event, Round):
+                rounds.append([event.m, len(g_so_far)])
+            else:
+                g_so_far.extend(event.g_clauses)
+                rounds[-1][1] = len(g_so_far)
 
-        reconcile(f, 2, max_rounds=40, on_round=observe)
+        reconcile(f, 2, max_rounds=40, on_event=observe)
         prev_count = None
         prev_len = 0
-        for m, g_clauses in trace[:10]:
+        for m, g_len in rounds[:10]:
+            g_clauses = g_so_far[:g_len]
             if len(g_clauses) > prev_len:
                 count = count_projected_models(g_clauses, shared)
                 if prev_count is not None:
@@ -203,8 +211,6 @@ def test_stats_records_shape():
     assert r.stats.interpolants >= 1
     assert r.stats.g_clause_count >= 2
     assert r.stats.peak_itp_nodes >= 1
-    for rec in r.stats.records:
-        assert rec.seconds >= 0 and rec.itp_nodes >= 1 and rec.g_clauses >= 1
 
 
 # Exact counts of fixed runs: (verdict, rounds, G clauses, interpolants,
@@ -274,10 +280,11 @@ _SELF_REFUTING = [
 def test_partition_that_refutes_itself_ends_the_run_with_its_own_refutation(f, k):
     # at k=2 the first partition is {(x1), (-x1)}: contradictory on its own
     seen = []
-    r = reconcile(f, k, on_interpolant=seen.append)
+    r = reconcile(f, k, on_event=seen.append)
     assert r.verdict == "UNSAT"
     assert (r.stats.rounds, r.stats.g_solves, r.stats.interpolants) == (1, 1, 0)
-    assert r.stats.g_clause_count == 0 and seen == []
+    assert r.stats.g_clause_count == 0
+    assert not any(isinstance(e, Interpolant) for e in seen)
     assert r.g_proof.check_refutation(r.g_refutation)
     clauses_of_f = {normalize_clause(c) for c in f.clauses}
     leaves = r.g_proof.reachable_inputs(r.g_refutation)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lazysat import (
     LABEL_A,
     LABEL_B,
-    SENTINEL,
     BudgetExceeded,
     Formula,
     Sat,
@@ -16,11 +15,13 @@ from lazysat import (
     UnsatUnderAssumptions,
     eval_formula,
 )
+from lazysat.solver import SENTINEL
 from tests.helpers import (
     clause_table,
     cnf_table,
     make_tables,
     naive_brute_force,
+    on_learnt,
     pigeonhole,
     random_formula,
 )
@@ -112,11 +113,11 @@ def test_duplicate_and_satisfied_assumptions_ok():
     assert out.model[2] is True and out.model[1] is False
 
 
-def test_learnt_clause_from_simple_conflict():
+def test_learnt_clause_from_simple_conflict(monkeypatch):
     # Deciding 1=False propagates 2 then falsifies (1 v -2): learn the unit (1).
     learnt = []
     s = Solver()
-    s.learn_hook = lambda lits, value_of: learnt.append(list(lits))
+    on_learnt(monkeypatch, s, lambda lits, value_of: learnt.append(list(lits)))
     s.add_clause([1, 2])
     s.add_clause([1, -2])
     out = s.solve()
@@ -244,7 +245,7 @@ def test_verdicts_under_assumptions_match_oracle():
             assert naive_brute_force(f) is None
 
 
-def test_learnt_clauses_implied_and_falsified_at_learn_time():
+def test_learnt_clauses_implied_and_falsified_at_learn_time(monkeypatch):
     # Conflict-clause contract: the formula implies every learnt clause, and
     # the trail at learn time falsifies all of its literals.
     rng = random.Random(31)
@@ -268,7 +269,7 @@ def test_learnt_clauses_implied_and_falsified_at_learn_time():
                 failures.append(("not implied", list(lits)))
 
         s = Solver()
-        s.learn_hook = hook
+        on_learnt(monkeypatch, s, hook)
         for c in f.clauses:
             s.add_clause(c)
         s.solve()
