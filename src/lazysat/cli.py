@@ -227,6 +227,8 @@ def cmd_bench(args) -> int:
         return 1
     ks = _parse_counts(args.partitions)
     systems = [_parse_system(s) for s in args.itp.split(",") if s]
+    if not systems:
+        raise SystemExit(f"error: bad system list {args.itp!r}, expected systems like mcmillan,hkp")
     files = sorted(bench_dir.glob("*.cnf"))
     rows: list[RunRecord] = []
     best: dict[tuple[str, str], tuple[float, int]] = {}
@@ -260,8 +262,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, as every other refusal does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lazysat",
         description="SAT solving over lazy clause partitions reconciled by interpolants",
     )

@@ -39,6 +39,11 @@ class RbcStore:
         self._b: list[int] = [0]  # right child ref for 'A'
         self._var_node: dict[int, int] = {}
         self._and_node: dict[tuple[int, int], int] = {}
+        # Lowering state, see to_cnf_tseitin: the CNF variable of every node
+        # lowered so far (a leaf's own variable, an AND node's auxiliary),
+        # and the largest variable lowering has met.
+        self._lit: dict[int, int] = {}
+        self._fresh_floor = 0
 
     def __len__(self) -> int:
         return len(self._kind)
@@ -151,42 +156,69 @@ class RbcStore:
     ) -> tuple[list[Clause], Lit]:
         """Lower a circuit to clauses plus a root literal.
 
-        ``fresh`` yields auxiliary variable indices, which must be strictly
-        above every variable in use; each AND node costs one auxiliary and
-        three clauses.  Leaves short-circuit to their own literal with no
-        clauses.  The conjunction of the clauses with the root literal
-        asserted is equisatisfiable with the circuit.
+        Each AND node costs one auxiliary from ``fresh`` and three clauses
+        defining it, and is lowered once for the lifetime of the store: the
+        store keeps its auxiliary, and a later call whose circuit reaches it
+        reuses that literal and emits no clauses for it or anything under
+        it.  A call returns the definitions of the AND nodes it lowers for
+        the first time, in ascending node order, and the root literal.  So
+        every call on one store must feed one target formula, which keeps
+        every clause returned so far, and draw from one ``fresh``, which
+        yields indices strictly above every variable in use.  Leaves
+        short-circuit to their own literal with no clauses; a constant gets
+        a new auxiliary and a unit clause on every call.  The conjunction of
+        all clauses returned so far, with the root literal asserted, is
+        equisatisfiable with the circuit.
         """
         top = ref >> 1
-        kind = self._kind[top]
-        if kind == "T":
+        kind = self._kind
+        if kind[top] == "T":
             aux = self._take_fresh(fresh, 0)
             return [(aux if ref == TRUE else -aux,)], aux
-        if kind == "V":
-            var = self._a[top]
-            return [], (var if not ref & 1 else -var)
-        max_used = max(self.vars(ref))
-        nodes = [n for n in sorted(self._reachable(ref)) if self._kind[n] == "A"]
-        aux_of: dict[int, int] = {}
-        for n in nodes:
-            aux = self._take_fresh(fresh, max_used)
-            max_used = aux
-            aux_of[n] = aux
-
-        def lit_of(r: RbcRef) -> Lit:
-            node = r >> 1
-            base = self._a[node] if self._kind[node] == "V" else aux_of[node]
-            return -base if r & 1 else base
+        a_, b_ = self._a, self._b
+        if kind[top] == "V":
+            return [], (-a_[top] if ref & 1 else a_[top])
+        lits = self._lit
+        if top in lits:
+            return [], (-lits[top] if ref & 1 else lits[top])
+        # One walk over the nodes not lowered yet.  It stops at lowered ones,
+        # whose leaves were checked against ``fresh`` when they were lowered.
+        floor = self._fresh_floor
+        new = [top]
+        leaves = []
+        seen = {top}
+        stack = [top]
+        while stack:
+            n = stack.pop()
+            for child in (a_[n] >> 1, b_[n] >> 1):
+                if child in seen or child in lits:
+                    continue
+                seen.add(child)
+                if kind[child] == "A":
+                    new.append(child)
+                    stack.append(child)
+                else:
+                    leaves.append(child)
+                    floor = max(floor, a_[child])
+        new.sort()  # a node is made after its children
+        auxes = []
+        for _ in new:
+            floor = self._take_fresh(fresh, floor)
+            auxes.append(floor)
+        for leaf in leaves:
+            lits[leaf] = a_[leaf]
+        lits.update(zip(new, auxes))
+        self._fresh_floor = floor
 
         clauses: list[Clause] = []
-        for n in nodes:
-            a = aux_of[n]
-            x = lit_of(self._a[n])
-            y = lit_of(self._b[n])
+        for n, a in zip(new, auxes):
+            x, y = a_[n], b_[n]
+            x = -lits[x >> 1] if x & 1 else lits[x >> 1]
+            y = -lits[y >> 1] if y & 1 else lits[y >> 1]
             clauses.append((-a, x))
             clauses.append((-a, y))
             clauses.append((a, -x, -y))
-        return clauses, lit_of(ref)
+        return clauses, (-lits[top] if ref & 1 else lits[top])
 
     @staticmethod
     def _take_fresh(fresh: Iterator[int], floor: int) -> int:

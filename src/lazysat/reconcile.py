@@ -56,8 +56,11 @@ class Interpolant:
 
     ``root`` is the labeled refutation in ``proof`` it was read from: its
     A leaves are the partition's clauses, its B leaves the shared-model
-    units.  ``g_clauses`` are the clauses it put into G, its Tseitin
-    clauses followed by the unit asserting its root literal.
+    units.  ``g_clauses`` are the clauses it put into G: the Tseitin
+    definitions of the circuit nodes no earlier interpolant of the run
+    reached, followed by the unit asserting its root literal.  Nodes lowered
+    before keep their auxiliaries, defined by earlier events' clauses, so an
+    interpolant whose whole circuit is already in G adds only its root unit.
     """
 
     round: int

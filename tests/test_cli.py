@@ -226,6 +226,9 @@ _BAD_ARGS = {
     "solve-timeout-nan": ["solve", "{cnf}", "--timeout", "nan"],
     "sweep-timeout-negative": ["sweep", "{cnf}", "--partitions", "1..2", "--timeout", "-1"],
     "bench-timeout-nan": ["bench", "{bench}", "--partitions", "1", "--timeout", "nan"],
+    "bench-itp-empty": ["bench", "{bench}", "--partitions", "1", "--itp", ","],
+    "solve-seed-not-a-number": ["solve", "{cnf}", "--seed", "x"],
+    "sweep-partitions-missing": ["sweep", "{cnf}"],
 }
 
 
@@ -245,6 +248,14 @@ def test_bad_arguments_give_a_clean_error_and_exit_1(tmp_path, case):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""  # refused before anything was solved
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["bench", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_dump_itp_writes_one_dot_file_per_interpolant(tmp_path, capsys):

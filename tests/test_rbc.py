@@ -6,6 +6,7 @@ import pytest
 
 from lazysat import RbcStore
 from lazysat.rbc import FALSE, TRUE, mk_not
+from tests.helpers import holds_under
 from tests.helpers import random_circuit as _random_circuit
 from tests.helpers import shadow_eval as _shadow_eval
 
@@ -101,13 +102,55 @@ def test_tseitin_fresh_collision_rejected():
         store.to_cnf_tseitin(r, count(2))  # 2 <= max var in use
 
 
+def _and_nodes(store, ref):
+    """The AND nodes reachable from ref."""
+    out, stack = set(), [ref >> 1]
+    while stack:
+        n = stack.pop()
+        node = store.node(n)
+        if node[0] == "A" and n not in out:
+            out.add(n)
+            stack.extend(child >> 1 for child in node[1:])
+    return out
+
+
+def _defined_auxes(clauses):
+    """The auxiliaries that Tseitin definitions among clauses define: each
+    AND node lowers to (-a, x), (-a, y), (a, -x, -y)."""
+    return [c[0] for c in clauses if len(c) == 3]
+
+
+def test_tseitin_lowers_a_shared_subterm_once_per_store():
+    store = RbcStore()
+    x, y, z, w = (store.mk_var(v) for v in (1, 2, 3, 4))
+    shared = store.mk_and(x, store.mk_or(y, z))
+    first = store.mk_or(shared, w)
+    second = store.mk_and(shared, mk_not(w))
+    fresh = count(5)
+    clauses1, root1 = store.to_cnf_tseitin(first, fresh)
+    clauses2, root2 = store.to_cnf_tseitin(second, fresh)
+    assert len(clauses1) == 3 * 3 and len(clauses2) == 3  # one new AND node
+    assert set(_defined_auxes(clauses1)).isdisjoint(_defined_auxes(clauses2))
+    # the shared node keeps its auxiliary: lowering it again adds nothing,
+    # and the second circuit's definition reads that same literal
+    again, shared_lit = store.to_cnf_tseitin(shared, fresh)
+    assert again == [] and shared_lit in _defined_auxes(clauses1)
+    assert any(shared_lit in c for c in clauses2)
+    both = clauses1 + clauses2 + [(root1,), (root2,)]
+    for bits in itertools.product([False, True], repeat=4):
+        a = dict(zip(range(1, 5), bits))
+        want = store.evaluate(first, a) and store.evaluate(second, a)
+        assert holds_under(both, a) == want, a
+
+
 def test_tseitin_clause_budget_and_equisatisfiability():
     rng = random.Random(13)
     for _ in range(120):
         store = RbcStore()
         n = rng.randint(1, 8)
         ref, shadow = _random_circuit(store, rng, n, rng.randint(1, 5))
-        clauses, root = store.to_cnf_tseitin(ref, count(n + 1))
+        fresh = count(n + 1)
+        clauses, root = store.to_cnf_tseitin(ref, fresh)
         assert len(clauses) <= 3 * store.dag_size(ref) + 1
         aux_vars = sorted(
             {abs(l) for c in clauses for l in c if abs(l) > n}
@@ -126,6 +169,20 @@ def test_tseitin_clause_budget_and_equisatisfiability():
                     got = True
                     break
             assert got == want, (shadow, a)
+        # A second circuit over the first, lowered from the same store, adds
+        # only the AND nodes the first did not reach, and the two calls'
+        # clauses with both roots asserted are equisatisfiable with the
+        # conjunction of the circuits.
+        other, other_shadow = _random_circuit(store, rng, n, rng.randint(1, 3))
+        ref2, shadow2 = store.mk_or(ref, other), ("or", shadow, other_shadow)
+        clauses2, root2 = store.to_cnf_tseitin(ref2, fresh)
+        assert len(_defined_auxes(clauses2)) == len(_and_nodes(store, ref2) - _and_nodes(store, ref))
+        assert set(_defined_auxes(clauses)).isdisjoint(_defined_auxes(clauses2))
+        both = clauses + clauses2 + [(root,), (root2,)]
+        for bits in itertools.product([False, True], repeat=n):
+            a = dict(zip(range(1, n + 1), bits))
+            want = _shadow_eval(shadow, a) and _shadow_eval(shadow2, a)
+            assert holds_under(both, a) == want, (shadow2, a)
 
 
 def test_dag_sharing_across_constructions():

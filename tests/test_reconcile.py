@@ -5,6 +5,7 @@ import pytest
 
 from lazysat import (
     LABEL_A,
+    LABEL_B,
     Formula,
     Interpolant,
     ItpSystem,
@@ -216,18 +217,19 @@ def test_stats_records_shape():
 # Exact counts of fixed runs: (verdict, rounds, G clauses, interpolants,
 # G conflicts, per-partition conflicts, G proof nodes, per-partition proof
 # nodes).  A change meant to leave the search as it is keeps all of them;
-# a change to branching, propagation order or proof logging moves some.
+# a change to branching, propagation order, proof logging or the clauses
+# G receives moves some.
 _FINGERPRINTS = [
     ("php6-k1", pigeonhole(6, 5), 1, ItpSystem.MCMILLAN,
      ("UNSAT", 1, 0, 0, 0, (139,), 0, (1393,))),
     ("php7-k10-mcmillan", pigeonhole(7, 6), 10, ItpSystem.MCMILLAN,
-     ("UNSAT", 112, 760, 133, 1006, (0,) * 10, 21063,
+     ("UNSAT", 99, 688, 133, 780, (0,) * 10, 15730,
       (230, 65, 65, 70, 65, 65, 70, 65, 65, 70))),
     ("php7-k10-hkp", pigeonhole(7, 6), 10, ItpSystem.HKP,
-     ("UNSAT", 99, 744, 132, 691, (0,) * 10, 14977,
+     ("UNSAT", 104, 672, 132, 510, (0,) * 10, 8426,
       (217, 65, 65, 70, 65, 65, 70, 65, 65, 70))),
     ("rand3-n20-seed4-k2", random_3cnf(random.Random(4), 20, 85), 2, ItpSystem.MCMILLAN,
-     ("UNSAT", 51, 1129, 88, 44, (8, 4), 1626, (468, 512))),
+     ("UNSAT", 50, 802, 85, 37, (9, 3), 1242, (441, 514))),
 ]
 
 
@@ -339,3 +341,66 @@ def test_partition_is_not_asked_again_with_the_assumptions_it_answered(monkeypat
         for i, assumptions, answered in calls:
             assert last.get(i) != (assumptions, True), (f, k, system, i)
             last[i] = (assumptions, answered)
+
+
+def _interpolant_events(f, k, system):
+    events = []
+    reconcile(f, k, system, on_event=events.append)
+    return [e for e in events if isinstance(e, Interpolant)]
+
+
+_CORE_CASES = [("php7-k10", pigeonhole(7, 6), 10)] + [
+    (f"rand3-{seed}-k2", random_3cnf(random.Random(seed), 12, 55), 2) for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("system", [ItpSystem.HKP, ItpSystem.DUAL_MCMILLAN], ids=lambda s: s.value)
+@pytest.mark.parametrize("f,k", [c[1:] for c in _CORE_CASES], ids=[c[0] for c in _CORE_CASES])
+def test_hkp_and_dual_mcmillan_compute_the_negated_assumption_core(f, k, system):
+    # The B side of each refutation is the cube of shared-model units, so
+    # these systems give the weakest interpolant: the negated core, the
+    # clause of the negations of the B units the refutation reaches.
+    events = _interpolant_events(f, k, system)
+    assert events
+    for e in events:
+        core = []
+        for leaf in e.proof.reachable_inputs(e.root):
+            _, clause, label = e.proof.node(leaf)
+            if label == LABEL_B:
+                assert len(clause) == 1
+                core.append(clause[0])
+        assert core and e.rbc.vars(e.ref) <= {abs(l) for l in core}
+        point = {abs(l): l > 0 for l in core}
+        assert e.rbc.evaluate(e.ref, point) is False
+        for l in core:
+            flipped = dict(point)
+            flipped[abs(l)] = not flipped[abs(l)]
+            assert e.rbc.evaluate(e.ref, flipped) is True
+
+
+_LOWERING_CASES = [
+    ("php7-k10-mcmillan", pigeonhole(7, 6), 10),
+    ("rand3-n20-seed4-k2", random_3cnf(random.Random(4), 20, 85), 2),
+]
+
+
+@pytest.mark.parametrize("f,k", [c[1:] for c in _LOWERING_CASES], ids=[c[0] for c in _LOWERING_CASES])
+def test_each_interpolant_node_is_defined_in_g_once_per_run(f, k):
+    events = _interpolant_events(f, k, ItpSystem.MCMILLAN)
+    defined = []
+    and_nodes = set()
+    for e in events:
+        # Tseitin definitions come as (-a, x), (-a, y), (a, -x, -y), then
+        # the unit asserting the interpolant's root literal
+        *tseitin, root_unit = e.g_clauses
+        assert len(root_unit) == 1 and len(tseitin) % 3 == 0
+        defined.extend(-c[0] for c in tseitin[::3])
+        stack = [e.ref >> 1]
+        while stack:
+            n = stack.pop()
+            node = e.rbc.node(n)
+            if node[0] == "A" and n not in and_nodes:
+                and_nodes.add(n)
+                stack.extend(child >> 1 for child in node[1:])
+    assert len(set(defined)) == len(defined)  # no auxiliary is defined twice
+    assert len(defined) == len(and_nodes)  # one definition per AND node lowered
