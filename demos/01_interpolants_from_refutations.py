@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Walk through Craig interpolation on a tiny labeled refutation.
+"""Walk through Craig interpolation on a tiny refusal.
 
-We split a contradictory clause set into an A part ({x}, {~x v y}) and a
-B part ({~y}), let the solver refute it, and then read an interpolant off
-the proof under each of the three supported systems.  Every interpolant
-must be implied by A, contradict B, and mention only shared variables;
-here all three systems find (something equivalent to) y.
+The A part ({x}, {~x v y}) is loaded into a solver, and the B part, the
+unit {~y}, is imposed as an assumption, as a shared-model literal is in
+reconciliation.  The solver refuses it, and an interpolant is read off the
+refutation and its assumption core under each of the three supported
+systems.  Every interpolant must be implied by A, contradict B, and
+mention only shared variables; here all three systems find y.
 """
 
 from itertools import product
@@ -25,19 +26,20 @@ solver = Solver()
 solver.add_clause([X], LABEL_A)
 solver.add_clause([-X, Y], LABEL_A)
 
-# The B side enters as assumptions: one unit clause per literal of a
-# candidate shared-variable model.
-outcome = solver.solve([-Y])
-assert isinstance(outcome, UnsatUnderAssumptions)
-print("conflicting assumptions:", outcome.conflict_assumptions)
+out = solver.solve([-Y])
+assert isinstance(out, UnsatUnderAssumptions)
+print("conflicting assumptions:", out.conflict_assumptions)
 
-root = solver.labeled_refutation([-Y])
-print("\nrefutation (id, kind, ...):")
-print(solver.proof.dump(root))
+# The refutation derives the clause of the negated core, here {y}, from A
+# clauses alone; the core's units are the B side it is interpolated against.
+print("\nrefutation under assumptions (id, kind, ...):")
+print(solver.proof.dump(out.refutation))
 
 rbc = RbcStore()
 for system in ItpSystem:
-    ref = interpolant_from_proof(solver.proof, root, system, rbc)
+    ref = interpolant_from_proof(
+        solver.proof, out.refutation, out.conflict_assumptions, system, rbc
+    )
     table = {
         (x, y): rbc.evaluate(ref, {X: x, Y: y})
         for x, y in product([False, True], repeat=2)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .cnf import Formula, parse_dimacs
 from .itp import ItpSystem
-from .reconcile import DEFAULT_MAX_ROUNDS, Interpolant, ReconcileResult, reconcile
+from .reconcile import Interpolant, ReconcileResult, reconcile
 
 CSV_FIELDS = ("file", "k", "system", "verdict", "seconds", "rounds", "g_clauses", "itp_nodes")
 
@@ -54,7 +54,6 @@ def run_one(
     system: ItpSystem,
     timeout: float | None,
     seed: int | None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
     on_event=None,
 ) -> tuple[RunRecord, ReconcileResult]:
     """One reconciliation run distilled into a CSV row (plus the raw result).
@@ -64,11 +63,7 @@ def run_one(
     """
     t0 = time.monotonic()
     result = reconcile(
-        f, k, system,
-        max_rounds=max_rounds,
-        timeout=timeout,
-        completion_seed=seed,
-        on_event=on_event,
+        f, k, system, timeout=timeout, completion_seed=seed, on_event=on_event
     )
     elapsed = time.monotonic() - t0
     if result.exhausted == "time" and timeout is not None:

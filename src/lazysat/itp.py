@@ -1,34 +1,38 @@
-"""Craig interpolants from labeled resolution refutations.
+"""Craig interpolants of a partition that refuses the shared model.
 
-Three systems are supported.  Writing V_A / V_B for the variables of the
-refutation's A- and B-labeled input leaves, each variable is classified as
-A-local, shared, or B-local, and an intermediate interpolant is attached to
-every proof node in one bottom-up pass:
+The loop interpolates (partition, m): the A side is the partition's
+clauses, the B side the cube of the shared model's units.  A refusal
+comes as a refutation under assumptions, which derives the clause of the
+negated conflict assumptions (the core) from A clauses alone.  Resolving
+that clause with the core's units would give the labeled refutation of
+(A, B); only those units are reached, so exactly the core's variables are
+shared and none is B-local.  Over that refutation each system reduces to a
+construction from (refutation, core):
 
 McMillan
-    A clause: the disjunction of its shared-variable literals; B clause: true.
-    Resolution on an A-local pivot joins with OR, otherwise with AND.
+    Each step that resolves a core unit in is on a shared pivot, so it
+    ANDs with the unit's interpolant, true, and leaves the one below it.
+    What remains is McMillan's rule on the refutation under assumptions:
+    an A clause gives the disjunction of its shared literals, a resolution
+    step AND on a shared pivot and OR on any other.
 
-HKP (Huang / Krajicek / Pudlak)
-    A clause: false; B clause: true.  A-local pivot: OR; B-local pivot: AND;
-    shared pivot x: (x or I_left) and (not x or I_right), where the left
-    child is the one holding x positively.
-
-Dual McMillan
-    McMillan with the roles of A and B swapped, negated at the root.
-
-The interpolant at the empty clause is returned.  The traversal is a single
-memoized pass, linear in the number of reachable proof nodes; the caller is
-responsible for handing in a checked refutation.
+HKP and dual McMillan
+    HKP is false on every A-side node: its A leaves are false, and on an
+    A-local or shared pivot two false children give false.  Dual McMillan
+    is true there.  Resolving in the core unit a then gives (~a or I) under
+    HKP, and (a and I) under dual McMillan, which is negated at the root.
+    Both are the disjunction of the negated core in conflict order, the
+    weakest interpolant, and build the same circuit without reading the
+    proof.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .cnf import Clause
-from .proof import LABEL_A, ProofStore
-from .rbc import RbcRef, RbcStore, mk_not
+from .cnf import Lit
+from .proof import ProofStore
+from .rbc import FALSE, RbcRef, RbcStore
 
 
 class ItpSystem(Enum):
@@ -37,122 +41,39 @@ class ItpSystem(Enum):
     DUAL_MCMILLAN = "dual-mcmillan"
 
 
-A_LOCAL, SHARED, B_LOCAL = 0, 1, 2
-
-
-def var_classes(store: ProofStore, root: int) -> dict[int, int]:
-    """Classify every variable of the refutation reachable from root.
-
-    Classes are computed from the reachable input leaves only, so clauses
-    that do not contribute to the derivation cannot widen V_A or V_B.
-    """
-    return _leaf_classes(store, store.reachable(root))[0]
-
-
-def _leaf_classes(store: ProofStore, nodes) -> tuple[dict[int, int], bool]:
-    """Classes of the variables of the input leaves among ``nodes``, and
-    whether any of those leaves is A-labeled."""
-    va: set[int] = set()
-    vb: set[int] = set()
-    has_a = False
-    for nid in nodes:
-        node = store.node(nid)
-        if node[0] != "I":
-            continue
-        if node[2] == LABEL_A:
-            has_a = True
-            va.update(abs(l) for l in node[1])
-        else:
-            vb.update(abs(l) for l in node[1])
-    classes = {}
-    for v in va | vb:
-        if v in va and v in vb:
-            classes[v] = SHARED
-        elif v in va:
-            classes[v] = A_LOCAL
-        else:
-            classes[v] = B_LOCAL
-    return classes, has_a
-
-
-def _shared_disjunction(clause: Clause, classes, rbc: RbcStore) -> RbcRef:
-    ref = rbc.mk_false()
-    for l in clause:
-        if classes[abs(l)] == SHARED:
-            ref = rbc.mk_or(ref, rbc.mk_lit(l))
-    return ref
-
-
-def initial_interpolant(
-    clause: Clause, label: str, system: ItpSystem, classes, rbc: RbcStore
-) -> RbcRef:
-    """The intermediate interpolant attached to an input clause."""
-    if system is ItpSystem.MCMILLAN:
-        if label == LABEL_A:
-            return _shared_disjunction(clause, classes, rbc)
-        return rbc.mk_true()
-    if system is ItpSystem.HKP:
-        return rbc.mk_false() if label == LABEL_A else rbc.mk_true()
-    # Dual McMillan: McMillan with A and B swapped.
-    if label == LABEL_A:
-        return rbc.mk_true()
-    return _shared_disjunction(clause, classes, rbc)
-
-
-def resolve_interpolant(
+def interpolant_from_proof(
+    store: ProofStore,
+    root: int,
+    core: tuple[Lit, ...],
     system: ItpSystem,
-    pivot_class: int,
-    pivot: int,
-    i_left: RbcRef,
-    i_right: RbcRef,
     rbc: RbcStore,
 ) -> RbcRef:
-    """Combine child interpolants across one resolution step.
+    """Interpolant of the A clauses under ``root`` against the cube ``core``.
 
-    i_left belongs to the child that holds the pivot positively (the proof
-    store's orientation convention); the HKP shared case depends on it.
+    ``root`` and ``core`` are an UnsatUnderAssumptions outcome's
+    ``refutation`` and ``conflict_assumptions``: root derives the clause of
+    the negated core from A-labeled inputs only.  Validity is the caller's
+    contract.  The result's variables are within the core's.
     """
-    if system is ItpSystem.MCMILLAN:
-        if pivot_class == A_LOCAL:
-            return rbc.mk_or(i_left, i_right)
-        return rbc.mk_and(i_left, i_right)
-    if system is ItpSystem.HKP:
-        if pivot_class == A_LOCAL:
-            return rbc.mk_or(i_left, i_right)
-        if pivot_class == B_LOCAL:
-            return rbc.mk_and(i_left, i_right)
-        x = rbc.mk_var(pivot)
-        return rbc.mk_and(rbc.mk_or(x, i_left), rbc.mk_or(mk_not(x), i_right))
-    # Dual McMillan: swapped classes, i.e. OR exactly on B-local pivots.
-    if pivot_class == B_LOCAL:
-        return rbc.mk_or(i_left, i_right)
-    return rbc.mk_and(i_left, i_right)
-
-
-def interpolant_from_proof(
-    store: ProofStore, root: int, system: ItpSystem, rbc: RbcStore
-) -> RbcRef:
-    """Interpolant of the refutation rooted at the empty clause ``root``.
-
-    Requires a valid refutation with at least one A-labeled leaf; validity is
-    the caller's contract (check_refutation recomputes it when wanted).  The
-    result's variables are always within the shared set.
-    """
-    reachable = store.reachable(root)
-    classes, has_a = _leaf_classes(store, reachable)
-    if not has_a:
-        raise ValueError("refutation has no A-labeled inputs to interpolate against")
+    if system is not ItpSystem.MCMILLAN:
+        ref = FALSE
+        for a in core:
+            ref = rbc.mk_or(rbc.mk_lit(-a), ref)
+        return ref
+    shared = {abs(a) for a in core}
     memo: dict[int, RbcRef] = {}
-    for nid in reachable:
+    for nid in store.reachable(root):
         node = store.node(nid)
         if node[0] == "I":
-            memo[nid] = initial_interpolant(node[1], node[2], system, classes, rbc)
+            ref = FALSE
+            for l in node[1]:
+                if abs(l) in shared:
+                    ref = rbc.mk_or(ref, rbc.mk_lit(l))
         else:
             _, left, right, pivot = node
-            memo[nid] = resolve_interpolant(
-                system, classes[pivot], pivot, memo[left], memo[right], rbc
-            )
-    result = memo[root]
-    if system is ItpSystem.DUAL_MCMILLAN:
-        result = mk_not(result)
-    return result
+            if pivot in shared:
+                ref = rbc.mk_and(memo[left], memo[right])
+            else:
+                ref = rbc.mk_or(memo[left], memo[right])
+        memo[nid] = ref
+    return memo[root]

@@ -4,10 +4,10 @@ The loop maintains a global formula G over the decomposition's shared
 variables (plus Tseitin auxiliaries).  Each round: solve G and read off a
 total shared-variable model m (unconstrained variables default to false);
 try to extend m into every partition by solving it under m as assumptions;
-for every partition that refuses, extract an interpolant from the labeled
-refutation of (partition and m) and conjoin it to G.  A round with no
-refusals assembles and verifies a full model; G becoming unsatisfiable
-proves the input unsatisfiable.
+for every partition that refuses, interpolate (partition, m) from its
+refutation and the assumption core it rests on, and conjoin the
+interpolant to G.  A round with no refusals assembles and verifies a full
+model; G becoming unsatisfiable proves the input unsatisfiable.
 
 A partition whose clauses alone are contradictory refutes the input
 itself: its interpolant could only be false, so the run ends there with
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
-from .cnf import Clause, Formula, eval_formula
+from .cnf import Clause, Formula, Lit, eval_formula
 from .decomp import Decomposition, decompose_lazy
 from .itp import ItpSystem, interpolant_from_proof
 from .proof import LABEL_A, ProofStore
@@ -54,13 +54,15 @@ class Round:
 class Interpolant:
     """One interpolant conjoined to G.
 
-    ``root`` is the labeled refutation in ``proof`` it was read from: its
-    A leaves are the partition's clauses, its B leaves the shared-model
-    units.  ``g_clauses`` are the clauses it put into G: the Tseitin
-    definitions of the circuit nodes no earlier interpolant of the run
-    reached, followed by the unit asserting its root literal.  Nodes lowered
-    before keep their auxiliaries, defined by earlier events' clauses, so an
-    interpolant whose whole circuit is already in G adds only its root unit.
+    ``root`` is the partition's refutation in ``proof`` it was read from,
+    which derives the clause of the negated ``core`` from the partition's
+    clauses alone; ``core`` holds the shared-model units the refusal rests
+    on, in conflict order.  ``g_clauses`` are the clauses it put into G:
+    the Tseitin definitions of the circuit nodes no earlier interpolant of
+    the run reached, followed by the unit asserting its root literal.
+    Nodes lowered before keep their auxiliaries, defined by earlier events'
+    clauses, so an interpolant whose whole circuit is already in G adds
+    only its root unit.
     """
 
     round: int
@@ -69,6 +71,7 @@ class Interpolant:
     rbc: RbcStore
     proof: ProofStore
     root: int
+    core: tuple[Lit, ...]
     g_clauses: tuple[Clause, ...]
 
 
@@ -101,13 +104,12 @@ def assemble_model(
     m: dict[int, bool],
     extensions: dict[int, dict[int, bool]],
     decomposition: Decomposition,
-    unused_value: bool = False,
 ) -> dict[int, bool]:
     """Merge the shared model with each partition's private extension.
 
     Extensions must agree with m on shared variables (the assumption
     mechanism guarantees it; disagreement means a bug, not an input error).
-    Variables in no partition default to ``unused_value``.
+    Variables in no partition default to false.
     """
     model = dict(m)
     for i, ext in extensions.items():
@@ -121,7 +123,7 @@ def assemble_model(
             else:
                 model[v] = ext[v]
     for v in range(1, decomposition.num_vars + 1):
-        model.setdefault(v, unused_value)
+        model.setdefault(v, False)
     return model
 
 
@@ -235,8 +237,9 @@ def reconcile(
                 return refuted(part_solver.proof, out.refutation)
             extensions.pop(i, None)
             any_failed = True
-            root = part_solver.labeled_refutation(assumptions)
-            ref = interpolant_from_proof(part_solver.proof, root, system, rbc)
+            proof, root = part_solver.proof, out.refutation
+            core = out.conflict_assumptions
+            ref = interpolant_from_proof(proof, root, core, system, rbc)
             stats.interpolants += 1
             stats.peak_itp_nodes = max(stats.peak_itp_nodes, rbc.dag_size(ref))
             lowered, root_lit = rbc.to_cnf_tseitin(ref, fresh)
@@ -245,11 +248,8 @@ def reconcile(
                 g.add_clause(c, LABEL_A)
             stats.g_clause_count += len(lowered)
             if on_event is not None:
-                on_event(
-                    Interpolant(
-                        round_idx, i, ref, rbc, part_solver.proof, root, tuple(lowered)
-                    )
-                )
+                lowered = tuple(lowered)
+                on_event(Interpolant(round_idx, i, ref, rbc, proof, root, core, lowered))
         if not any_failed:
             model = assemble_model(m, extensions, decomposition)
             if not eval_formula(f, model):

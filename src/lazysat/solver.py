@@ -50,6 +50,7 @@ from .proof import LABEL_A, LABEL_B, ProofStore
 SENTINEL = -1  # returned by add_clause for ignored clauses
 
 _RESCALE = 1e100
+_RESTART_UNIT = 100  # conflicts per unit of the Luby sequence
 _ACT_DECAY = 0.95
 
 
@@ -88,9 +89,8 @@ def luby(i: int) -> int:
 
 
 class Solver:
-    def __init__(self, proof: ProofStore | None = None, restart_unit: int = 100):
-        self.proof = proof if proof is not None else ProofStore()
-        self.restart_unit = restart_unit
+    def __init__(self):
+        self.proof = ProofStore()
         self.clauses: list[list[Lit]] = []  # positions 0/1 are the watched pair
         self.clause_node: list[int] = []
         self.unsat_node: int | None = None
@@ -587,7 +587,7 @@ class Solver:
                 return self._last
         self._backtrack(0)
         restart_idx = 1
-        restart_limit = self.restart_unit * luby(restart_idx)
+        restart_limit = _RESTART_UNIT * luby(restart_idx)
         conflicts_here = 0
         decisions = 0
         n_active = len(self._active_list)
@@ -611,7 +611,7 @@ class Solver:
                 if conflicts_here >= restart_limit:
                     conflicts_here = 0
                     restart_idx += 1
-                    restart_limit = self.restart_unit * luby(restart_idx)
+                    restart_limit = _RESTART_UNIT * luby(restart_idx)
                     self._backtrack(0)
                 continue
             next_lit = 0
@@ -664,7 +664,7 @@ class Solver:
             raise RuntimeError(f"internal: model fails clause {sorted(lits)}")
 
     # ------------------------------------------------------------------
-    # labeled refutations for interpolation
+    # labeled refutations: a refusal as a proof over A clauses and B units
 
     def labeled_refutation(self, b_units) -> int:
         """Extend the last unsatisfiable outcome to an empty-clause proof in

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from lazysat import LABEL_A, Formula, normalize_clause
-from lazysat.rbc import RbcStore
+from lazysat import LABEL_A, LABEL_B, Formula, ItpSystem, ProofStore, normalize_clause
+from lazysat.rbc import RbcRef, RbcStore, mk_not
 
 # ---------------------------------------------------------------------------
 # instance generators
@@ -171,13 +171,11 @@ def on_learnt(monkeypatch, solver, hook) -> None:
 def check_interpolant(rec) -> list[str]:
     """Verify one Interpolant event against the interpolation contract:
     the A side implies it, it contradicts the B side, and it only mentions
-    variables common to both sides.  The sides are the A- and B-labeled
-    leaves of the refutation it was read from.  Returns human-readable
-    violations."""
-    a_leaves, b_leaves = [], []
-    for leaf in rec.proof.reachable_inputs(rec.root):
-        _, clause, label = rec.proof.node(leaf)
-        (a_leaves if label == LABEL_A else b_leaves).append(clause)
+    variables common to both sides.  The A side is the input clauses of the
+    refutation it was read from, the B side the units of its core.  Returns
+    human-readable violations."""
+    a_leaves = [rec.proof.node(leaf)[1] for leaf in rec.proof.reachable_inputs(rec.root)]
+    b_leaves = [(a,) for a in rec.core]
     va = {abs(l) for c in a_leaves for l in c}
     vb = {abs(l) for c in b_leaves for l in c}
     problems = []
@@ -194,6 +192,148 @@ def check_interpolant(rec) -> list[str]:
     if itab & btab:
         problems.append("interpolant consistent with B")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# general interpolation over labeled refutations: the reference for
+# lazysat.itp, which reads the same interpolants off a refutation under
+# assumptions and its core
+#
+# Writing V_A / V_B for the variables of the refutation's A- and B-labeled
+# input leaves, each variable is A-local, shared or B-local, and an
+# intermediate interpolant is attached to every proof node in one bottom-up
+# pass:
+#
+# McMillan: A clause, the disjunction of its shared literals; B clause,
+#   true.  Resolution on an A-local pivot joins with OR, otherwise with AND.
+# HKP (Huang / Krajicek / Pudlak): A clause, false; B clause, true.
+#   A-local pivot: OR; B-local pivot: AND; shared pivot x:
+#   (x or I_left) and (not x or I_right), the left child holding x positively.
+# Dual McMillan: McMillan with A and B swapped, negated at the root.
+
+A_LOCAL, SHARED, B_LOCAL = 0, 1, 2
+
+
+def var_classes(store: ProofStore, root: int) -> dict[int, int]:
+    """Classify every variable of the refutation reachable from root, from
+    the reachable input leaves only."""
+    return _leaf_classes(store, store.reachable(root))[0]
+
+
+def _leaf_classes(store: ProofStore, nodes) -> tuple[dict[int, int], bool]:
+    """Classes of the variables of the input leaves among ``nodes``, and
+    whether any of those leaves is A-labeled."""
+    va: set[int] = set()
+    vb: set[int] = set()
+    has_a = False
+    for nid in nodes:
+        node = store.node(nid)
+        if node[0] != "I":
+            continue
+        if node[2] == LABEL_A:
+            has_a = True
+            va.update(abs(l) for l in node[1])
+        else:
+            vb.update(abs(l) for l in node[1])
+    classes = {}
+    for v in va | vb:
+        if v in va and v in vb:
+            classes[v] = SHARED
+        elif v in va:
+            classes[v] = A_LOCAL
+        else:
+            classes[v] = B_LOCAL
+    return classes, has_a
+
+
+def _shared_disjunction(clause, classes, rbc: RbcStore) -> RbcRef:
+    ref = rbc.mk_false()
+    for l in clause:
+        if classes[abs(l)] == SHARED:
+            ref = rbc.mk_or(ref, rbc.mk_lit(l))
+    return ref
+
+
+def initial_interpolant(clause, label: str, system: ItpSystem, classes, rbc) -> RbcRef:
+    """The intermediate interpolant attached to an input clause."""
+    if system is ItpSystem.MCMILLAN:
+        if label == LABEL_A:
+            return _shared_disjunction(clause, classes, rbc)
+        return rbc.mk_true()
+    if system is ItpSystem.HKP:
+        return rbc.mk_false() if label == LABEL_A else rbc.mk_true()
+    if label == LABEL_A:  # dual McMillan: McMillan with A and B swapped
+        return rbc.mk_true()
+    return _shared_disjunction(clause, classes, rbc)
+
+
+def resolve_interpolant(system, pivot_class, pivot, i_left, i_right, rbc) -> RbcRef:
+    """Combine child interpolants across one resolution step; i_left belongs
+    to the child that holds the pivot positively."""
+    if system is ItpSystem.MCMILLAN:
+        if pivot_class == A_LOCAL:
+            return rbc.mk_or(i_left, i_right)
+        return rbc.mk_and(i_left, i_right)
+    if system is ItpSystem.HKP:
+        if pivot_class == A_LOCAL:
+            return rbc.mk_or(i_left, i_right)
+        if pivot_class == B_LOCAL:
+            return rbc.mk_and(i_left, i_right)
+        x = rbc.mk_var(pivot)
+        return rbc.mk_and(rbc.mk_or(x, i_left), rbc.mk_or(mk_not(x), i_right))
+    if pivot_class == B_LOCAL:  # dual McMillan: OR exactly on B-local pivots
+        return rbc.mk_or(i_left, i_right)
+    return rbc.mk_and(i_left, i_right)
+
+
+def reference_interpolant(
+    store: ProofStore, root: int, system: ItpSystem, rbc: RbcStore
+) -> RbcRef:
+    """Interpolant of the labeled refutation rooted at the empty clause
+    ``root``, by one memoized pass over its reachable nodes.  Raises
+    ValueError when no reachable leaf is A-labeled."""
+    reachable = store.reachable(root)
+    classes, has_a = _leaf_classes(store, reachable)
+    if not has_a:
+        raise ValueError("refutation has no A-labeled inputs to interpolate against")
+    memo: dict[int, RbcRef] = {}
+    for nid in reachable:
+        node = store.node(nid)
+        if node[0] == "I":
+            memo[nid] = initial_interpolant(node[1], node[2], system, classes, rbc)
+        else:
+            _, left, right, pivot = node
+            memo[nid] = resolve_interpolant(
+                system, classes[pivot], pivot, memo[left], memo[right], rbc
+            )
+    result = memo[root]
+    if system is ItpSystem.DUAL_MCMILLAN:
+        result = mk_not(result)
+    return result
+
+
+def labeled_refutation(proof: ProofStore, root: int, core) -> tuple[ProofStore, int]:
+    """The labeled refutation of (A, core units) in a new store: the subproof
+    under ``root``, which derives the negated core from A leaves, copied,
+    then resolved with one B-labeled unit per core literal in core order,
+    as Solver.labeled_refutation does."""
+    out = ProofStore()
+    remap = {}
+    for nid in proof.reachable(root):
+        node = proof.node(nid)
+        if node[0] == "I":
+            remap[nid] = out.add_input(node[1], node[2])
+        else:
+            _, left, right, pivot = node
+            remap[nid] = out.add_resolvent(remap[left], remap[right], pivot)
+    node = remap[root]
+    for a in core:
+        unit = out.add_input((a,), LABEL_B)
+        if a > 0:
+            node = out.add_resolvent(unit, node, a)
+        else:
+            node = out.add_resolvent(node, unit, -a)
+    return out, node
 
 
 # ---------------------------------------------------------------------------

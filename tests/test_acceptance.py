@@ -165,9 +165,10 @@ def test_criterion_3_worked_example_fixture():
         s.add_clause([-1, 2], LABEL_A)
         out = s.solve([-2])
         assert isinstance(out, UnsatUnderAssumptions)
-        root = s.labeled_refutation([-2])
         rbc = RbcStore()
-        ref = interpolant_from_proof(s.proof, root, system, rbc)
+        ref = interpolant_from_proof(
+            s.proof, out.refutation, out.conflict_assumptions, system, rbc
+        )
         for x, y in itertools.product([False, True], repeat=2):
             if rbc.evaluate(ref, {1: x, 2: y}) != y:
                 failures.append((system.value, x, y))

@@ -135,3 +135,31 @@ def test_eval_matches_clause_by_clause_exhaustively():
                 any(a[abs(l)] == (l > 0) for l in c) for c in f.clauses
             )
             assert eval_formula(f, a) == expect
+
+
+
+# Most lines are zero-terminated clauses, so that many texts parse; the
+# rest are runs of literals, near-misses of the format and free text.
+_LITS = [str(i) for i in range(-9, 10) if i]
+_TOKENS = _LITS + ["0", "-0", "+3", "00", "1_0", "x", "c", "p", "cnf", "%", "", "\t"]
+_HEADERS = ["p cnf 9 3"] * 3 + ["", "p cnf 0 0", "p  cnf  4 x", "p cnf -1 2", "p dnf 2 1"]
+_clauses = st.lists(st.sampled_from(_LITS), max_size=4).map(lambda ls: " ".join([*ls, "0"]))
+_lines = st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join)
+_texts = st.builds(
+    lambda head, body, sep: sep.join([head, *body]),
+    st.sampled_from(_HEADERS),
+    st.lists(st.one_of(_clauses, _clauses, _lines, st.text(max_size=4)), max_size=6),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_texts)
+def test_parse_dimacs_rejects_cleanly_or_round_trips(text):
+    try:
+        f = parse_dimacs(text)
+    except DimacsError:
+        return
+    assert all(0 not in c and c == normalize_clause(c) for c in f.clauses)
+    assert all(abs(l) <= f.num_vars for c in f.clauses for l in c)
+    assert parse_dimacs(write_dimacs(f)) == f

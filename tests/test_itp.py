@@ -2,28 +2,139 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import lazysat.itp as itp_mod
+import tests.helpers as helpers
 from lazysat import (
     LABEL_A,
     LABEL_B,
+    Interpolant,
     ItpSystem,
     ProofStore,
+    RbcRef,
     RbcStore,
     Sat,
     Solver,
+    UnsatUnderAssumptions,
     interpolant_from_proof,
+    reconcile,
 )
-from lazysat.itp import (
+from lazysat.rbc import FALSE, mk_not
+from tests.helpers import (
     A_LOCAL,
     B_LOCAL,
     SHARED,
+    cnf_table,
     initial_interpolant,
+    labeled_refutation,
+    make_tables,
+    pigeonhole,
+    random_3cnf,
+    random_formula,
+    rbc_table,
+    reference_interpolant,
     resolve_interpolant,
     var_classes,
 )
-from lazysat.rbc import FALSE, mk_not
-from tests.helpers import cnf_table, make_tables, random_formula, rbc_table
+
+# ---------------------------------------------------------------------------
+# interpolant_from_proof: a partition's clauses against an assumption core
+
+
+def _worked_example_refusal():
+    """A = {x}, {~x v y} refuses the cube {~y}."""
+    s = Solver()
+    s.add_clause([1], LABEL_A)
+    s.add_clause([-1, 2], LABEL_A)
+    out = s.solve([-2])
+    assert isinstance(out, UnsatUnderAssumptions)
+    return s, out
+
+
+@pytest.mark.parametrize("system", list(ItpSystem))
+def test_worked_example_against_the_core_is_y(system):
+    s, out = _worked_example_refusal()
+    assert out.conflict_assumptions == (-2,)
+    rbc = RbcStore()
+    ref = interpolant_from_proof(
+        s.proof, out.refutation, out.conflict_assumptions, system, rbc
+    )
+    assert ref == rbc.mk_var(2)
+
+
+def test_hkp_and_dual_mcmillan_never_read_the_proof():
+    rbc = RbcStore()
+    core = (3, -1, 2)
+    want = rbc.mk_or(rbc.mk_lit(-2), rbc.mk_or(rbc.mk_lit(1), rbc.mk_lit(-3)))
+    for system in (ItpSystem.HKP, ItpSystem.DUAL_MCMILLAN):
+        assert interpolant_from_proof(None, None, core, system, rbc) == want
+
+
+def _same_as_reference(proof, root, core, system, rbc) -> RbcRef:
+    """Assert that the direct construction is the reference algorithm's
+    circuit on the labeled refutation of (A, core units); return it."""
+    got = interpolant_from_proof(proof, root, core, system, rbc)
+    labeled, lroot = labeled_refutation(proof, root, core)
+    assert labeled.check_refutation(lroot)
+    assert reference_interpolant(labeled, lroot, system, rbc) == got
+    return got
+
+
+_refusal_cases = st.tuples(
+    st.lists(
+        st.lists(st.integers(1, 8).flatmap(lambda v: st.sampled_from((v, -v))),
+                 min_size=1, max_size=3),
+        min_size=1, max_size=24,
+    ),
+    st.dictionaries(st.integers(1, 8), st.booleans(), min_size=1, max_size=8),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_refusal_cases)
+def test_direct_construction_is_the_labeled_refutations_interpolant(case):
+    clauses, assumed = case
+    s = Solver()
+    for c in clauses:
+        s.add_clause(c, LABEL_A)
+    cube = [v if b else -v for v, b in assumed.items()]
+    out = s.solve(cube)
+    if not isinstance(out, UnsatUnderAssumptions):
+        return
+    core = out.conflict_assumptions
+    for system in ItpSystem:
+        rbc = RbcStore()
+        ref = _same_as_reference(s.proof, out.refutation, core, system, rbc)
+        # theorem 1 against the whole cube: A implies the interpolant, the
+        # interpolant contradicts the cube, and it ranges over the core's vars
+        assert rbc.vars(ref) <= {abs(a) for a in core}
+        all_vars = sorted({abs(l) for c in clauses for l in c} | set(assumed))
+        full, tables = make_tables(all_vars)
+        itab = rbc_table(rbc, ref, full, tables)
+        assert cnf_table(clauses, full, tables) & (full ^ itab) == 0
+        assert itab & cnf_table([(a,) for a in cube], full, tables) == 0
+
+
+_RUN_CASES = [("php7-k10", pigeonhole(7, 6), 10)] + [
+    (f"rand3-{seed}-k{k}", random_3cnf(random.Random(seed), 20, 85), k)
+    for seed, k in ((4, 2), (5, 2), (6, 10), (7, 10))
+]
+
+
+@pytest.mark.parametrize("system", list(ItpSystem), ids=lambda s: s.value)
+@pytest.mark.parametrize("f,k", [c[1:] for c in _RUN_CASES], ids=[c[0] for c in _RUN_CASES])
+def test_every_interpolant_of_a_run_is_the_reference_one(f, k, system):
+    events = []
+    reconcile(f, k, system, on_event=events.append)
+    events = [e for e in events if isinstance(e, Interpolant)]
+    assert events
+    for e in events:
+        assert _same_as_reference(e.proof, e.root, e.core, system, e.rbc) == e.ref
+
+
+# ---------------------------------------------------------------------------
+# the reference: general interpolation over labeled refutations
 
 
 def _worked_example_proof():
@@ -42,7 +153,7 @@ def _worked_example_proof():
 def test_worked_example_equivalent_to_y(system):
     store, root = _worked_example_proof()
     rbc = RbcStore()
-    ref = interpolant_from_proof(store, root, system, rbc)
+    ref = reference_interpolant(store, root, system, rbc)
     for x, y in itertools.product([False, True], repeat=2):
         assert rbc.evaluate(ref, {1: x, 2: y}) == y
     assert rbc.vars(ref) <= {2}
@@ -55,7 +166,7 @@ def test_degenerate_a_only_refutation_is_false():
     root = store.add_resolvent(a1, a2, 1)
     rbc = RbcStore()
     for system in ItpSystem:
-        assert interpolant_from_proof(store, root, system, rbc) == FALSE
+        assert reference_interpolant(store, root, system, rbc) == FALSE
 
 
 def test_var_classes_computed_from_reachable_leaves_only():
@@ -106,11 +217,8 @@ def _random_labeled_refutation(rng, max_vars=10):
         f = random_formula(rng, n, rng.randint(2 * n, 6 * n))
         cut = rng.randint(1, len(f.clauses) - 1)
         s = Solver()
-        a_clauses, b_clauses = [], []
         for i, c in enumerate(f.clauses):
-            label = LABEL_A if i < cut else LABEL_B
-            (a_clauses if label == LABEL_A else b_clauses).append(c)
-            s.add_clause(c, label)
+            s.add_clause(c, LABEL_A if i < cut else LABEL_B)
         out = s.solve()
         if isinstance(out, Sat):
             continue
@@ -134,7 +242,7 @@ def _leaf_split(proof, root):
 
 def _check_theorem1(proof, root, system, rbc=None):
     rbc = rbc if rbc is not None else RbcStore()
-    ref = interpolant_from_proof(proof, root, system, rbc)
+    ref = reference_interpolant(proof, root, system, rbc)
     a_leaves, b_leaves = _leaf_split(proof, root)
     va = {abs(l) for c in a_leaves for l in c}
     vb = {abs(l) for c in b_leaves for l in c}
@@ -175,8 +283,8 @@ def test_hkp_is_self_dual_semantically():
         proof, root = _random_labeled_refutation(rng, max_vars=8)
         swapped, sroot = _swap_labels(proof, root)
         rbc = RbcStore()
-        direct = interpolant_from_proof(proof, root, ItpSystem.HKP, rbc)
-        dual = mk_not(interpolant_from_proof(swapped, sroot, ItpSystem.HKP, rbc))
+        direct = reference_interpolant(proof, root, ItpSystem.HKP, rbc)
+        dual = mk_not(reference_interpolant(swapped, sroot, ItpSystem.HKP, rbc))
         a_leaves, b_leaves = _leaf_split(proof, root)
         all_vars = sorted({abs(l) for c in a_leaves + b_leaves for l in c})
         full, tables = make_tables(all_vars)
@@ -189,9 +297,9 @@ def test_dual_mcmillan_is_negated_swapped_mcmillan():
         proof, root = _random_labeled_refutation(rng, max_vars=8)
         swapped, sroot = _swap_labels(proof, root)
         rbc = RbcStore()
-        dual = interpolant_from_proof(proof, root, ItpSystem.DUAL_MCMILLAN, rbc)
+        dual = reference_interpolant(proof, root, ItpSystem.DUAL_MCMILLAN, rbc)
         explicit = mk_not(
-            interpolant_from_proof(swapped, sroot, ItpSystem.MCMILLAN, rbc)
+            reference_interpolant(swapped, sroot, ItpSystem.MCMILLAN, rbc)
         )
         a_leaves, b_leaves = _leaf_split(proof, root)
         all_vars = sorted({abs(l) for c in a_leaves + b_leaves for l in c})
@@ -203,14 +311,14 @@ def test_traversal_is_linear_and_memoized(monkeypatch):
     proof, root = _random_labeled_refutation(random.Random(99))
     resolvents = [i for i in proof.reachable(root) if not proof.is_input(i)]
     calls = []
-    original = itp_mod.resolve_interpolant
+    original = helpers.resolve_interpolant
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(itp_mod, "resolve_interpolant", counting)
-    interpolant_from_proof(proof, root, ItpSystem.MCMILLAN, RbcStore())
+    monkeypatch.setattr(helpers, "resolve_interpolant", counting)
+    reference_interpolant(proof, root, ItpSystem.MCMILLAN, RbcStore())
     assert len(calls) == len(resolvents)
 
 
@@ -220,4 +328,4 @@ def test_refutation_without_a_inputs_rejected():
     a2 = store.add_input((-1,), LABEL_B)
     root = store.add_resolvent(a1, a2, 1)
     with pytest.raises(ValueError):
-        interpolant_from_proof(store, root, ItpSystem.MCMILLAN, RbcStore())
+        reference_interpolant(store, root, ItpSystem.MCMILLAN, RbcStore())

@@ -37,9 +37,10 @@ def test_bad_label_is_rejected_on_both_input_paths():
     store = ProofStore()
     with pytest.raises(ProofError, match="bad label"):
         store.add_input((1,), "C")
+    s = Solver()
     with pytest.raises(ProofError, match="bad label"):
-        Solver(store).add_clause((1, 2), "C")
-    assert len(store) == 0
+        s.add_clause((1, 2), "C")
+    assert len(store) == 0 and len(s.proof) == 0
 
 
 def test_identical_inputs_get_distinct_ids():

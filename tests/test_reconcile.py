@@ -5,12 +5,12 @@ import pytest
 
 from lazysat import (
     LABEL_A,
-    LABEL_B,
     Formula,
     Interpolant,
     ItpSystem,
     Round,
     Sat,
+    Solver,
     decompose_lazy,
     eval_formula,
     normalize_clause,
@@ -224,12 +224,12 @@ _FINGERPRINTS = [
      ("UNSAT", 1, 0, 0, 0, (139,), 0, (1393,))),
     ("php7-k10-mcmillan", pigeonhole(7, 6), 10, ItpSystem.MCMILLAN,
      ("UNSAT", 99, 688, 133, 780, (0,) * 10, 15730,
-      (230, 65, 65, 70, 65, 65, 70, 65, 65, 70))),
+      (26, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
     ("php7-k10-hkp", pigeonhole(7, 6), 10, ItpSystem.HKP,
      ("UNSAT", 104, 672, 132, 510, (0,) * 10, 8426,
-      (217, 65, 65, 70, 65, 65, 70, 65, 65, 70))),
+      (25, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
     ("rand3-n20-seed4-k2", random_3cnf(random.Random(4), 20, 85), 2, ItpSystem.MCMILLAN,
-     ("UNSAT", 50, 802, 85, 37, (9, 3), 1242, (441, 514))),
+     ("UNSAT", 50, 802, 85, 37, (9, 3), 1242, (119, 132))),
 ]
 
 
@@ -357,18 +357,12 @@ _CORE_CASES = [("php7-k10", pigeonhole(7, 6), 10)] + [
 @pytest.mark.parametrize("system", [ItpSystem.HKP, ItpSystem.DUAL_MCMILLAN], ids=lambda s: s.value)
 @pytest.mark.parametrize("f,k", [c[1:] for c in _CORE_CASES], ids=[c[0] for c in _CORE_CASES])
 def test_hkp_and_dual_mcmillan_compute_the_negated_assumption_core(f, k, system):
-    # The B side of each refutation is the cube of shared-model units, so
-    # these systems give the weakest interpolant: the negated core, the
-    # clause of the negations of the B units the refutation reaches.
+    # The B side is the cube of shared-model units, so these systems give
+    # the weakest interpolant: the clause of the negated core.
     events = _interpolant_events(f, k, system)
     assert events
     for e in events:
-        core = []
-        for leaf in e.proof.reachable_inputs(e.root):
-            _, clause, label = e.proof.node(leaf)
-            if label == LABEL_B:
-                assert len(clause) == 1
-                core.append(clause[0])
+        core = e.core
         assert core and e.rbc.vars(e.ref) <= {abs(l) for l in core}
         point = {abs(l): l > 0 for l in core}
         assert e.rbc.evaluate(e.ref, point) is False
@@ -376,6 +370,33 @@ def test_hkp_and_dual_mcmillan_compute_the_negated_assumption_core(f, k, system)
             flipped = dict(point)
             flipped[abs(l)] = not flipped[abs(l)]
             assert e.rbc.evaluate(e.ref, flipped) is True
+
+
+@pytest.mark.parametrize(
+    "f,k", [(pigeonhole(7, 6), 10), (random_3cnf(random.Random(4), 20, 85), 2)],
+    ids=["php7-k10", "rand3-n20-seed4-k2"],
+)
+def test_the_loop_builds_no_labeled_refutation(monkeypatch, f, k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("labeled_refutation called")
+
+    monkeypatch.setattr(Solver, "labeled_refutation", refuse)
+    module = importlib.import_module("lazysat.reconcile")
+    real_solver = module.Solver
+    made = []
+
+    def solver(*args, **kwargs):
+        made.append(real_solver(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, "Solver", solver)
+    r = reconcile(f, k)
+    assert r.verdict == "UNSAT" and r.stats.interpolants > 0
+    for part in made[1:]:  # G is the first solver reconcile makes
+        proof = part.proof
+        for nid in range(len(proof)):
+            if proof.is_input(nid):
+                assert proof.node(nid)[2] == LABEL_A
 
 
 _LOWERING_CASES = [
