@@ -21,9 +21,14 @@ HKP and dual McMillan
     A-local or shared pivot two false children give false.  Dual McMillan
     is true there.  Resolving in the core unit a then gives (~a or I) under
     HKP, and (a and I) under dual McMillan, which is negated at the root.
-    Both are the disjunction of the negated core in conflict order, the
-    weakest interpolant, and build the same circuit without reading the
-    proof.
+    Both are the disjunction of the negated core, the weakest interpolant,
+    and build the same circuit without reading the proof: the chain that
+    resolving the units in ascending variable order gives, lowest variable
+    innermost.  Assumptions are decided in ascending order, so the core
+    comes in descending order; folding it lowest first instead makes every
+    chain node the negation of a prefix of the sorted core, and refusals
+    that agree on their low shared variables share those nodes, and so
+    their Tseitin auxiliaries in G.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ def interpolant_from_proof(
     """
     if system is not ItpSystem.MCMILLAN:
         ref = FALSE
-        for a in core:
+        for a in sorted(core, key=abs):
             ref = rbc.mk_or(rbc.mk_lit(-a), ref)
         return ref
     shared = {abs(a) for a in core}

@@ -41,8 +41,11 @@ class RbcStore:
         self._and_node: dict[tuple[int, int], int] = {}
         # Lowering state, see to_cnf_tseitin: the CNF variable of every node
         # lowered so far (a leaf's own variable, an AND node's auxiliary),
-        # and the largest variable lowering has met.
+        # the halves of each AND node's definition emitted so far (bit 1 the
+        # positive half, bit 2 the negative one), and the largest variable
+        # lowering has met.
         self._lit: dict[int, int] = {}
+        self._halves: dict[int, int] = {}
         self._fresh_floor = 0
 
     def __len__(self) -> int:
@@ -154,21 +157,34 @@ class RbcStore:
     def to_cnf_tseitin(
         self, ref: RbcRef, fresh: Iterator[int]
     ) -> tuple[list[Clause], Lit]:
-        """Lower a circuit to clauses plus a root literal.
+        """Lower a circuit to clauses plus a root literal, one polarity at a
+        time (Plaisted & Greenbaum).
 
-        Each AND node costs one auxiliary from ``fresh`` and three clauses
-        defining it, and is lowered once for the lifetime of the store: the
-        store keeps its auxiliary, and a later call whose circuit reaches it
-        reuses that literal and emits no clauses for it or anything under
-        it.  A call returns the definitions of the AND nodes it lowers for
-        the first time, in ascending node order, and the root literal.  So
-        every call on one store must feed one target formula, which keeps
-        every clause returned so far, and draw from one ``fresh``, which
-        yields indices strictly above every variable in use.  Leaves
-        short-circuit to their own literal with no clauses; a constant gets
-        a new auxiliary and a unit clause on every call.  The conjunction of
-        all clauses returned so far, with the root literal asserted, is
-        equisatisfiable with the circuit.
+        An AND node ``a = x & y`` has two halves of its definition: the
+        positive ``(-a, x), (-a, y)`` and the negative ``(a, -x, -y)``.  A
+        call emits, for every AND node, only the halves in the polarities in
+        which the asserted root reaches it: the root is reached positively
+        unless ``ref`` is a complement edge, and a complement edge flips the
+        polarity passed down to the child.  Each node costs one auxiliary
+        from ``fresh``, taken the first time any call reaches it, and each
+        half is emitted once for the lifetime of the store: a later call
+        that reaches a node in a polarity it already has reuses its literal
+        and emits nothing for it or anything under it, and one that reaches
+        it in the other polarity emits only the missing half.  A call
+        returns the halves it emits for the first time, in ascending node
+        order, and the root literal; new auxiliaries are also taken in
+        ascending node order.  So every call on one store must feed one
+        target formula, which keeps every clause returned so far, and draw
+        from one ``fresh``, which yields indices strictly above every
+        variable in use.  Leaves short-circuit to their own literal with no
+        clauses; a constant gets a new auxiliary and a unit clause on every
+        call.
+
+        The conjunction of all clauses returned so far, with every root
+        literal returned asserted, is equisatisfiable with the conjunction
+        of the circuits: giving each auxiliary its node's value satisfies
+        both halves of every definition, and every model of the clauses with
+        the roots asserted satisfies every circuit.
         """
         top = ref >> 1
         kind = self._kind
@@ -179,45 +195,55 @@ class RbcStore:
         if kind[top] == "V":
             return [], (-a_[top] if ref & 1 else a_[top])
         lits = self._lit
-        if top in lits:
+        done = self._halves
+        want = 2 if ref & 1 else 1
+        if done.get(top, 0) & want:
             return [], (-lits[top] if ref & 1 else lits[top])
-        # One walk over the nodes not lowered yet.  It stops at lowered ones,
-        # whose leaves were checked against ``fresh`` when they were lowered.
+        # One walk over the (node, half) pairs not emitted yet.  It stops at
+        # emitted ones, which were walked below when they were emitted, so
+        # every leaf under them was checked against ``fresh`` then.
         floor = self._fresh_floor
-        new = [top]
-        leaves = []
-        seen = {top}
-        stack = [top]
+        new = {top: want}
+        leaves = set()
+        stack = [(top, want)]
         while stack:
-            n = stack.pop()
-            for child in (a_[n] >> 1, b_[n] >> 1):
-                if child in seen or child in lits:
-                    continue
-                seen.add(child)
+            n, half = stack.pop()
+            for edge in (a_[n], b_[n]):
+                child = edge >> 1
                 if kind[child] == "A":
-                    new.append(child)
-                    stack.append(child)
-                else:
-                    leaves.append(child)
+                    h = half ^ 3 if edge & 1 else half
+                    have = new.get(child, 0)
+                    if (have | done.get(child, 0)) & h:
+                        continue
+                    new[child] = have | h
+                    stack.append((child, h))
+                elif child not in lits and child not in leaves:
+                    leaves.add(child)
                     floor = max(floor, a_[child])
-        new.sort()  # a node is made after its children
+        nodes = sorted(new)  # a node is made after its children
+        unlowered = [n for n in nodes if n not in lits]
         auxes = []
-        for _ in new:
+        for _ in unlowered:
             floor = self._take_fresh(fresh, floor)
             auxes.append(floor)
         for leaf in leaves:
             lits[leaf] = a_[leaf]
-        lits.update(zip(new, auxes))
+        lits.update(zip(unlowered, auxes))
         self._fresh_floor = floor
 
         clauses: list[Clause] = []
-        for n, a in zip(new, auxes):
+        for n in nodes:
+            a = lits[n]
             x, y = a_[n], b_[n]
             x = -lits[x >> 1] if x & 1 else lits[x >> 1]
             y = -lits[y >> 1] if y & 1 else lits[y >> 1]
-            clauses.append((-a, x))
-            clauses.append((-a, y))
-            clauses.append((a, -x, -y))
+            half = new[n]
+            if half & 1:
+                clauses.append((-a, x))
+                clauses.append((-a, y))
+            if half & 2:
+                clauses.append((a, -x, -y))
+            done[n] = done.get(n, 0) | half
         return clauses, (-lits[top] if ref & 1 else lits[top])
 
     @staticmethod

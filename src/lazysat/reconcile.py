@@ -58,11 +58,12 @@ class Interpolant:
     which derives the clause of the negated ``core`` from the partition's
     clauses alone; ``core`` holds the shared-model units the refusal rests
     on, in conflict order.  ``g_clauses`` are the clauses it put into G:
-    the Tseitin definitions of the circuit nodes no earlier interpolant of
-    the run reached, followed by the unit asserting its root literal.
-    Nodes lowered before keep their auxiliaries, defined by earlier events'
-    clauses, so an interpolant whose whole circuit is already in G adds
-    only its root unit.
+    the halves of Tseitin definitions, one per (node, polarity) in which its
+    root reaches a circuit node and no earlier interpolant of the run did,
+    followed by the unit asserting its root literal.  Nodes lowered before
+    keep their auxiliaries and the halves earlier events' clauses defined,
+    so an interpolant whose circuit is already in G in the polarities it
+    needs adds only its root unit.
     """
 
     round: int

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from lazysat import LABEL_A, LABEL_B, Formula, ItpSystem, ProofStore, normalize_clause
 from lazysat.rbc import RbcRef, RbcStore, mk_not
 
@@ -337,6 +339,26 @@ def labeled_refutation(proof: ProofStore, root: int, core) -> tuple[ProofStore, 
 
 
 # ---------------------------------------------------------------------------
+# text for fuzzing the parser and the command line
+
+
+# DIMACS-like text.  Most lines are zero-terminated clauses, so that many
+# texts parse; the rest are runs of literals, near-misses of the format and
+# free text.
+_LITS = [str(i) for i in range(-9, 10) if i]
+_TOKENS = _LITS + ["0", "-0", "+3", "00", "1_0", "x", "c", "p", "cnf", "%", "", "\t"]
+_HEADERS = ["p cnf 9 3"] * 3 + ["", "p cnf 0 0", "p  cnf  4 x", "p cnf -1 2", "p dnf 2 1"]
+_clauses = st.lists(st.sampled_from(_LITS), max_size=4).map(lambda ls: " ".join([*ls, "0"]))
+_lines = st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join)
+dimacs_texts = st.builds(
+    lambda head, body, sep: sep.join([head, *body]),
+    st.sampled_from(_HEADERS),
+    st.lists(st.one_of(_clauses, _clauses, _lines, st.text(max_size=4)), max_size=6),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+)
+
+
+# ---------------------------------------------------------------------------
 # miniature DPLL, used to project a growing clause set onto selected vars
 
 
@@ -388,6 +410,32 @@ def holds_under(clauses, assignment: dict[int, bool]) -> bool:
     base = [frozenset(c) for c in clauses]
     units = [frozenset((v if b else -v,)) for v, b in assignment.items()]
     return _dpll(base + units)
+
+
+# ---------------------------------------------------------------------------
+# one-polarity Tseitin lowering, read back from the clauses
+
+
+def reached_halves(store: RbcStore, ref: RbcRef) -> set[tuple[int, bool]]:
+    """The (AND node, polarity) pairs that ref, asserted, reaches: a
+    complement edge flips the polarity passed down."""
+    out, stack = set(), [(ref >> 1, not ref & 1)]
+    while stack:
+        n, positive = stack.pop()
+        node = store.node(n)
+        if node[0] == "A" and (n, positive) not in out:
+            out.add((n, positive))
+            stack.extend((child >> 1, positive != bool(child & 1)) for child in node[1:])
+    return out
+
+
+def definition_halves(clauses) -> list[tuple[int, bool]]:
+    """The (auxiliary, polarity) definition halves among Tseitin clauses: an
+    AND node a = x & y reached positively lowers to (-a, x), (-a, y), and
+    reached negatively to (a, -x, -y)."""
+    pos = [-c[0] for c in clauses if len(c) == 2]
+    assert pos[::2] == pos[1::2]  # a positive half's two clauses are adjacent
+    return [(a, True) for a in pos[::2]] + [(c[0], False) for c in clauses if len(c) == 3]
 
 
 # ---------------------------------------------------------------------------

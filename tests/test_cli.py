@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import os
@@ -5,13 +6,22 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazysat import Formula, parse_dimacs, write_dimacs
 from lazysat.cli import CSV_FIELDS, main
-from tests.helpers import brute_force, naive_brute_force, pigeonhole, random_formula
+from tests.helpers import (
+    brute_force,
+    dimacs_texts,
+    naive_brute_force,
+    pigeonhole,
+    random_formula,
+)
 
 UNSAT_3CLAUSE = "p cnf 2 3\n1 2 0\n-1 0\n-2 0\n"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -217,6 +227,31 @@ def test_cmd_solve_agrees_with_brute_force_on_random_files(tmp_path, capsys):
         capsys.readouterr()
         want = 10 if brute_force(f) is not None else 20
         assert code == want
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(dimacs_texts, st.text(max_size=40), st.binary(max_size=40)))
+def test_solve_exit_code_on_arbitrary_file_contents(content):
+    # The file either parses, and solving it exits 10 or 20 with the verdict
+    # of an oracle, or it exits 1 with an error: line; main never raises.
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "in.cnf"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", str(path)])
+        try:
+            f = parse_dimacs(path.read_text())
+        except ValueError:
+            f = None
+    if f is None:
+        assert code == 1 and err.getvalue().startswith("error: "), (code, err.getvalue())
+    else:
+        assert code == (10 if brute_force(f) is not None else 20), code
+        assert out.getvalue().startswith("s SATISFIABLE" if code == 10 else "s UNSATISFIABLE")
 
 
 _BAD_ARGS = {

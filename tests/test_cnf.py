@@ -14,7 +14,7 @@ from lazysat import (
     write_dimacs,
 )
 from lazysat.cnf import is_tautology
-from tests.helpers import random_formula
+from tests.helpers import dimacs_texts, random_formula
 
 
 def test_parse_basic():
@@ -99,13 +99,28 @@ def _is_tautology_spec(clause):
     return any(-l in s for l in s)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=2000)
-@given(st.lists(st.integers(1, 12).flatmap(lambda v: st.sampled_from((v, -v))), max_size=10))
-def test_normalize_and_tautology_match_their_reference_definitions(lits):
+def _check_normalize_and_tautology(lits):
     assert normalize_clause(lits) == _normalize_spec(lits)
     assert normalize_clause(iter(lits)) == _normalize_spec(lits)
     assert is_tautology(lits) == _is_tautology_spec(lits)
     assert is_tautology(frozenset(lits)) == _is_tautology_spec(lits)
+
+
+def test_normalize_and_tautology_match_their_reference_definitions():
+    # every literal list of length <= 4 over variables 1..3: 1,555 lists
+    lits = (1, -1, 2, -2, 3, -3)
+    n = 0
+    for size in range(5):
+        for clause in itertools.product(lits, repeat=size):
+            _check_normalize_and_tautology(list(clause))
+            n += 1
+    assert n == 1555
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.integers(1, 12).flatmap(lambda v: st.sampled_from((v, -v))), max_size=10))
+def test_normalize_and_tautology_match_their_reference_definitions_on_longer_lists(lits):
+    _check_normalize_and_tautology(lits)
 
 
 def test_eval_examples():
@@ -137,24 +152,8 @@ def test_eval_matches_clause_by_clause_exhaustively():
             assert eval_formula(f, a) == expect
 
 
-
-# Most lines are zero-terminated clauses, so that many texts parse; the
-# rest are runs of literals, near-misses of the format and free text.
-_LITS = [str(i) for i in range(-9, 10) if i]
-_TOKENS = _LITS + ["0", "-0", "+3", "00", "1_0", "x", "c", "p", "cnf", "%", "", "\t"]
-_HEADERS = ["p cnf 9 3"] * 3 + ["", "p cnf 0 0", "p  cnf  4 x", "p cnf -1 2", "p dnf 2 1"]
-_clauses = st.lists(st.sampled_from(_LITS), max_size=4).map(lambda ls: " ".join([*ls, "0"]))
-_lines = st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join)
-_texts = st.builds(
-    lambda head, body, sep: sep.join([head, *body]),
-    st.sampled_from(_HEADERS),
-    st.lists(st.one_of(_clauses, _clauses, _lines, st.text(max_size=4)), max_size=6),
-    st.sampled_from(["\n", "\r\n", "\n\n"]),
-)
-
-
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
-@given(_texts)
+@given(dimacs_texts)
 def test_parse_dimacs_rejects_cleanly_or_round_trips(text):
     try:
         f = parse_dimacs(text)

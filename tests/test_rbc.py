@@ -6,7 +6,9 @@ import pytest
 
 from lazysat import RbcStore
 from lazysat.rbc import FALSE, TRUE, mk_not
+from tests.helpers import definition_halves as _halves
 from tests.helpers import holds_under
+from tests.helpers import reached_halves as _reached_halves
 from tests.helpers import random_circuit as _random_circuit
 from tests.helpers import shadow_eval as _shadow_eval
 
@@ -82,9 +84,11 @@ def test_tseitin_leaf_shortcut():
 def test_tseitin_single_and_gate():
     store = RbcStore()
     r = store.mk_and(store.mk_var(1), store.mk_var(2))
-    clauses, root = store.to_cnf_tseitin(r, count(3))
-    assert root == 3
-    assert sorted(clauses) == sorted([(-3, 1), (-3, 2), (3, -1, -2)])
+    fresh = count(3)
+    assert store.to_cnf_tseitin(r, fresh) == ([(-3, 1), (-3, 2)], 3)
+    assert store.to_cnf_tseitin(mk_not(r), fresh) == ([(3, -1, -2)], -3)
+    assert store.to_cnf_tseitin(r, fresh) == ([], 3)
+    assert store.to_cnf_tseitin(mk_not(r), fresh) == ([], -3)
 
 
 def test_tseitin_constants():
@@ -102,24 +106,6 @@ def test_tseitin_fresh_collision_rejected():
         store.to_cnf_tseitin(r, count(2))  # 2 <= max var in use
 
 
-def _and_nodes(store, ref):
-    """The AND nodes reachable from ref."""
-    out, stack = set(), [ref >> 1]
-    while stack:
-        n = stack.pop()
-        node = store.node(n)
-        if node[0] == "A" and n not in out:
-            out.add(n)
-            stack.extend(child >> 1 for child in node[1:])
-    return out
-
-
-def _defined_auxes(clauses):
-    """The auxiliaries that Tseitin definitions among clauses define: each
-    AND node lowers to (-a, x), (-a, y), (a, -x, -y)."""
-    return [c[0] for c in clauses if len(c) == 3]
-
-
 def test_tseitin_lowers_a_shared_subterm_once_per_store():
     store = RbcStore()
     x, y, z, w = (store.mk_var(v) for v in (1, 2, 3, 4))
@@ -129,13 +115,39 @@ def test_tseitin_lowers_a_shared_subterm_once_per_store():
     fresh = count(5)
     clauses1, root1 = store.to_cnf_tseitin(first, fresh)
     clauses2, root2 = store.to_cnf_tseitin(second, fresh)
-    assert len(clauses1) == 3 * 3 and len(clauses2) == 3  # one new AND node
-    assert set(_defined_auxes(clauses1)).isdisjoint(_defined_auxes(clauses2))
+    # first: its root and y | z negatively (one clause each), shared
+    # positively (two); second: its root positively, shared already has that
+    assert len(clauses1) == 1 + 2 + 1 and len(clauses2) == 2
+    assert len(_halves(clauses1)) == 3 and len(_halves(clauses2)) == 1
+    assert set(_halves(clauses1)).isdisjoint(_halves(clauses2))
     # the shared node keeps its auxiliary: lowering it again adds nothing,
     # and the second circuit's definition reads that same literal
     again, shared_lit = store.to_cnf_tseitin(shared, fresh)
-    assert again == [] and shared_lit in _defined_auxes(clauses1)
+    assert again == [] and (shared_lit, True) in _halves(clauses1)
     assert any(shared_lit in c for c in clauses2)
+    both = clauses1 + clauses2 + [(root1,), (root2,)]
+    for bits in itertools.product([False, True], repeat=4):
+        a = dict(zip(range(1, 5), bits))
+        want = store.evaluate(first, a) and store.evaluate(second, a)
+        assert holds_under(both, a) == want, a
+
+
+def test_tseitin_node_reached_in_its_other_polarity_adds_its_missing_half_once():
+    store = RbcStore()
+    x, y, z, w = (store.mk_var(v) for v in (1, 2, 3, 4))
+    shared = store.mk_and(x, y)
+    first = store.mk_and(shared, w)
+    second = store.mk_or(mk_not(shared), z)  # reaches shared negatively
+    fresh = count(5)
+    clauses1, root1 = store.to_cnf_tseitin(first, fresh)
+    s = store.to_cnf_tseitin(shared, fresh)[1]
+    assert (root1, s) == (6, 5)  # auxiliaries in ascending node order
+    assert clauses1 == [(-5, 1), (-5, 2), (-6, 4), (-6, 5)]
+    clauses2, root2 = store.to_cnf_tseitin(second, fresh)
+    # shared's missing half, then the new root's negative half
+    assert clauses2 == [(5, -1, -2), (7, 3, -5)] and root2 == -7
+    for ref in (shared, mk_not(shared), first, second):
+        assert store.to_cnf_tseitin(ref, fresh)[0] == []
     both = clauses1 + clauses2 + [(root1,), (root2,)]
     for bits in itertools.product([False, True], repeat=4):
         a = dict(zip(range(1, 5), bits))
@@ -152,6 +164,8 @@ def test_tseitin_clause_budget_and_equisatisfiability():
         fresh = count(n + 1)
         clauses, root = store.to_cnf_tseitin(ref, fresh)
         assert len(clauses) <= 3 * store.dag_size(ref) + 1
+        halves = _halves(clauses)
+        assert len(set(halves)) == len(halves) == len(_reached_halves(store, ref))
         aux_vars = sorted(
             {abs(l) for c in clauses for l in c if abs(l) > n}
             | ({abs(root)} if abs(root) > n else set())
@@ -170,14 +184,16 @@ def test_tseitin_clause_budget_and_equisatisfiability():
                     break
             assert got == want, (shadow, a)
         # A second circuit over the first, lowered from the same store, adds
-        # only the AND nodes the first did not reach, and the two calls'
-        # clauses with both roots asserted are equisatisfiable with the
-        # conjunction of the circuits.
+        # only the (node, polarity) halves the first did not reach, and the
+        # two calls' clauses with both roots asserted are equisatisfiable
+        # with the conjunction of the circuits.
         other, other_shadow = _random_circuit(store, rng, n, rng.randint(1, 3))
         ref2, shadow2 = store.mk_or(ref, other), ("or", shadow, other_shadow)
         clauses2, root2 = store.to_cnf_tseitin(ref2, fresh)
-        assert len(_defined_auxes(clauses2)) == len(_and_nodes(store, ref2) - _and_nodes(store, ref))
-        assert set(_defined_auxes(clauses)).isdisjoint(_defined_auxes(clauses2))
+        halves2 = _halves(clauses2)
+        assert len(set(halves2)) == len(halves2)
+        assert len(halves2) == len(_reached_halves(store, ref2) - _reached_halves(store, ref))
+        assert set(halves).isdisjoint(halves2)
         both = clauses + clauses2 + [(root,), (root2,)]
         for bits in itertools.product([False, True], repeat=n):
             a = dict(zip(range(1, n + 1), bits))

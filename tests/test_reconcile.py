@@ -21,9 +21,11 @@ from tests.helpers import (
     brute_force,
     check_interpolant,
     count_projected_models,
+    definition_halves,
     holds_under,
     pigeonhole,
     random_3cnf,
+    reached_halves,
 )
 
 
@@ -223,13 +225,13 @@ _FINGERPRINTS = [
     ("php6-k1", pigeonhole(6, 5), 1, ItpSystem.MCMILLAN,
      ("UNSAT", 1, 0, 0, 0, (139,), 0, (1393,))),
     ("php7-k10-mcmillan", pigeonhole(7, 6), 10, ItpSystem.MCMILLAN,
-     ("UNSAT", 99, 688, 133, 780, (0,) * 10, 15730,
-      (26, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
+     ("UNSAT", 99, 320, 134, 873, (0,) * 10, 18099,
+      (27, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
     ("php7-k10-hkp", pigeonhole(7, 6), 10, ItpSystem.HKP,
-     ("UNSAT", 104, 672, 132, 510, (0,) * 10, 8426,
-      (25, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
+     ("UNSAT", 95, 320, 134, 800, (0,) * 10, 17748,
+      (27, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
     ("rand3-n20-seed4-k2", random_3cnf(random.Random(4), 20, 85), 2, ItpSystem.MCMILLAN,
-     ("UNSAT", 50, 802, 85, 37, (9, 3), 1242, (119, 132))),
+     ("UNSAT", 50, 326, 85, 37, (9, 3), 773, (119, 132))),
 ]
 
 
@@ -409,19 +411,66 @@ _LOWERING_CASES = [
 def test_each_interpolant_node_is_defined_in_g_once_per_run(f, k):
     events = _interpolant_events(f, k, ItpSystem.MCMILLAN)
     defined = []
-    and_nodes = set()
+    reached = set()
     for e in events:
-        # Tseitin definitions come as (-a, x), (-a, y), (a, -x, -y), then
-        # the unit asserting the interpolant's root literal
+        # Tseitin definition halves, (-a, x), (-a, y) for an AND node the
+        # root reaches positively and (a, -x, -y) for one it reaches
+        # negatively, then the unit asserting the interpolant's root literal
         *tseitin, root_unit = e.g_clauses
-        assert len(root_unit) == 1 and len(tseitin) % 3 == 0
-        defined.extend(-c[0] for c in tseitin[::3])
-        stack = [e.ref >> 1]
-        while stack:
-            n = stack.pop()
-            node = e.rbc.node(n)
-            if node[0] == "A" and n not in and_nodes:
-                and_nodes.add(n)
-                stack.extend(child >> 1 for child in node[1:])
-    assert len(set(defined)) == len(defined)  # no auxiliary is defined twice
-    assert len(defined) == len(and_nodes)  # one definition per AND node lowered
+        assert len(root_unit) == 1
+        halves = definition_halves(tseitin)
+        assert sum(2 if positive else 1 for _, positive in halves) == len(tseitin)
+        defined.extend(halves)
+        before = len(reached)
+        reached |= reached_halves(e.rbc, e.ref)
+        # exactly the halves this root is the first of the run to reach
+        assert len(halves) == len(reached) - before
+    assert len(set(defined)) == len(defined)  # no half is defined twice
+
+
+# the same two runs, under each test's own system
+_RUN_IDS = ["php7-k10", "rand3-n20-seed4-k2"]
+
+
+@pytest.mark.parametrize("f,k", [c[1:] for c in _LOWERING_CASES], ids=_RUN_IDS)
+def test_cores_that_agree_on_their_lowest_variables_share_chain_nodes(f, k):
+    # HKP's interpolant is the negated core folded lowest variable first:
+    # one AND node per prefix of length 2 or more, each reached negatively,
+    # so it lowers to one clause.  A core whose lowest L literals are an
+    # earlier core's adds only the nodes above that prefix.
+    events = _interpolant_events(f, k, ItpSystem.HKP)
+    earlier = []
+    longest = 0
+    for e in events:
+        core = sorted(e.core, key=abs)
+        prefix = 0
+        for other in earlier:
+            n = 0
+            while n < min(len(core), len(other)) and core[n] == other[n]:
+                n += 1
+            prefix = max(prefix, n)
+        *tseitin, root_unit = e.g_clauses
+        assert all(len(c) == 3 for c in tseitin) and len(root_unit) == 1
+        assert len(tseitin) == len(core) - max(prefix, 1)
+        longest = max(longest, prefix)
+        earlier.append(core)
+    assert longest >= 3
+
+
+@pytest.mark.parametrize("system", list(ItpSystem), ids=lambda s: s.value)
+@pytest.mark.parametrize("f,k", [c[1:] for c in _LOWERING_CASES], ids=_RUN_IDS)
+def test_every_round_model_satisfies_every_earlier_interpolant(f, k, system):
+    # One-polarity lowering keeps the loop's progress: a model of G, read on
+    # the shared variables, satisfies every circuit conjoined to G so far.
+    events = []
+    reconcile(f, k, system, on_event=events.append)
+    conjoined = []
+    rounds = 0
+    for e in events:
+        if isinstance(e, Round):
+            rounds += 1
+            for i in conjoined:
+                assert i.rbc.evaluate(i.ref, e.m), (e.index, i.round, i.partition)
+        else:
+            conjoined.append(e)
+    assert rounds > 1 and conjoined
