@@ -168,14 +168,18 @@ def reconcile(
         return ReconcileResult("UNSAT", None, stats, g_proof=proof, g_refutation=root)
 
     rbc = RbcStore()
-    g = Solver()
+    # G keeps every learnt clause: those over Tseitin auxiliaries are the
+    # extension steps that keep its refutation short.
+    g = Solver(keep_learnts=True)
     parts: list[Solver] = []
     for part in decomposition.partitions:
         s = Solver()
         for c in part.clauses:
             s.add_clause(c, LABEL_A)
         parts.append(s)
-    fresh = count(f.num_vars + 1)
+    # Auxiliaries follow the largest variable in use, not the header's count,
+    # so a header that overstates it does not size G's arrays.
+    fresh = count(max(f.vars(), default=0) + 1)
     shared_sorted = sorted(decomposition.shared_vars)
     part_shared = [
         sorted(part.vars & decomposition.shared_vars)

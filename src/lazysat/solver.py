@@ -11,8 +11,18 @@ Design notes, fixed for reproducibility:
   active ones, so its size does not grow with the number of incremental
   calls;
 * restarts follow the Luby sequence with a unit of 100 conflicts;
-* learnt clauses are never deleted, so proof nodes stay valid across
-  incremental calls;
+* learnt clauses are reduced Glucose style (Audemard & Simon, IJCAI 2009),
+  unless the solver is built with ``keep_learnts``: at decision level 0,
+  once 1,000 conflicts have passed and then after gaps of 1,300, 1,600 and
+  so on, the worse half of the learnt clauses that may go is deleted,
+  highest LBD (the number of distinct decision levels among a clause's
+  literals when it was learnt) first, ties to the lower clause index.
+  Binary clauses, clauses of LBD at most 2 and reasons of level-0
+  literals stay.  A deleted clause is implied by the clauses that derived
+  it: it leaves the watch lists, the model check and model reuse, and its
+  slot in ``clauses`` becomes None, so clause indices stay stable.  Its
+  proof node stays in the append-only store, so every proof stays valid
+  across incremental calls;
 * every learnt clause carries a proof chain built only from clause nodes
   (label A), never from assumption literals, which is what keeps learnt
   clauses sound premises under any future assumptions;
@@ -20,7 +30,7 @@ Design notes, fixed for reproducibility:
   written in: when no variable was activated since and that model
   satisfies every clause, it is the answer and no search runs;
 * every Sat answer, searched or reused, is checked against all clauses,
-  inputs and learnts, before it is returned;
+  inputs and the learnts not deleted, before it is returned;
 * the value array stores an assignment made at decision level 0 as +-2 and
   any other as +-1, so one load tells a fact that holds for good, since
   level 0 is never undone.  A clause satisfied at level 0 can never
@@ -28,7 +38,7 @@ Design notes, fixed for reproducibility:
   ``_propagate`` drops the watch through which it meets one.  Detaching only
   removes such clauses from watch lists, keeping the order of the others,
   so the search is the same as with them attached; they stay in
-  ``clauses``, so analysis, the model check and model reuse see them all.
+  ``clauses``, so analysis, the model check and model reuse see them.
 
 Conflict analysis is First-UIP.  Literals already falsified at level 0 are
 resolved out of the learnt clause (their reason chains are part of the logged
@@ -52,6 +62,8 @@ SENTINEL = -1  # returned by add_clause for ignored clauses
 _RESCALE = 1e100
 _RESTART_UNIT = 100  # conflicts per unit of the Luby sequence
 _ACT_DECAY = 0.95
+_REDUCE_FIRST = 1000  # conflicts before the first learnt-clause reduction
+_REDUCE_INC = 300  # growth of the gap between reductions, in conflicts
 
 
 @dataclass(frozen=True)
@@ -89,9 +101,12 @@ def luby(i: int) -> int:
 
 
 class Solver:
-    def __init__(self):
+    def __init__(self, keep_learnts: bool = False):
+        """``keep_learnts`` turns learnt-clause reduction off: every learnt
+        clause stays for the solver's life."""
         self.proof = ProofStore()
-        self.clauses: list[list[Lit]] = []  # positions 0/1 are the watched pair
+        # positions 0/1 are the watched pair; None marks a deleted learnt
+        self.clauses: list[list[Lit] | None] = []
         self.clause_node: list[int] = []
         self.unsat_node: int | None = None
         self.trail: list[Lit] = []
@@ -114,6 +129,11 @@ class Solver:
         self._in_heap = bytearray(cap + 1)  # 1: has an entry at its current activity
         self._var_inc = 1.0
         self._last: SolveOutcome | None = None
+        # LBD of each learnt clause a reduction may delete: 3+ literals,
+        # LBD above 2, not deleted yet.  Keyed by clause index.
+        self._lbd: dict[int, int] = {}
+        self._reduce_gap = _REDUCE_FIRST
+        self._next_reduce = None if keep_learnts else _REDUCE_FIRST
 
     # ------------------------------------------------------------------
     # variable bookkeeping
@@ -555,6 +575,28 @@ class Solver:
             self._watches[off + lits[1]].append(ci)
         return ci
 
+    def _reduce_learnts(self):
+        """Delete the worse half of the learnt clauses that may go, highest
+        LBD first, ties to the lower index; at decision level 0 only, where
+        the reasons of the trail's literals are the only locked clauses."""
+        reason = self._reason
+        locked = {reason[l if l > 0 else -l] for l in self.trail}
+        lbd = self._lbd
+        cands = sorted(
+            (ci for ci in lbd if ci not in locked), key=lambda ci: (-lbd[ci], ci)
+        )
+        dead = set(cands[: len(cands) // 2])
+        clauses = self.clauses
+        for ci in dead:
+            clauses[ci] = None
+            del lbd[ci]
+        if dead:
+            for ws in self._watches:
+                if ws and not dead.isdisjoint(ws):
+                    ws[:] = [ci for ci in ws if ci not in dead]
+        self._reduce_gap += _REDUCE_INC
+        self._next_reduce = self.n_conflicts + self._reduce_gap
+
     def solve(self, assumptions=(), deadline: float | None = None) -> SolveOutcome:
         """Decide the clause database under the given assumption literals.
 
@@ -563,7 +605,8 @@ class Solver:
         conflicting subset of the assumptions.  A Sat model may be the
         previous call's, with the assumptions written in, when that still
         satisfies every clause; it is checked against every clause either
-        way.  Learnt clauses and proof nodes persist across calls.  Raises
+        way.  Learnt clauses not deleted by a reduction, and every proof
+        node, persist across calls.  Raises
         BudgetExceeded past ``deadline`` (a time.monotonic() timestamp).
         """
         if self.unsat_node is not None:
@@ -586,6 +629,10 @@ class Solver:
                 self._last = Sat(model)
                 return self._last
         self._backtrack(0)
+        reducing = self._next_reduce is not None
+        if reducing and self.n_conflicts >= self._next_reduce:
+            self._reduce_learnts()
+        level = self._level
         restart_idx = 1
         restart_limit = _RESTART_UNIT * luby(restart_idx)
         conflicts_here = 0
@@ -604,8 +651,13 @@ class Solver:
                     self._last = Unsat(self.unsat_node)
                     return self._last
                 learnt, bt, node = self._analyze(confl)
+                lbd = 0
+                if reducing and len(learnt) > 2:
+                    lbd = len({level[q if q > 0 else -q] for q in learnt})
                 self._backtrack(bt)
                 ci = self._install_learnt(learnt, node)
+                if lbd > 2:
+                    self._lbd[ci] = lbd
                 self._enqueue(learnt[0], ci)
                 self._var_inc /= _ACT_DECAY
                 if conflicts_here >= restart_limit:
@@ -613,6 +665,8 @@ class Solver:
                     restart_idx += 1
                     restart_limit = _RESTART_UNIT * luby(restart_idx)
                     self._backtrack(0)
+                    if reducing and self.n_conflicts >= self._next_reduce:
+                        self._reduce_learnts()
                 continue
             next_lit = 0
             while len(self.trail_lim) < len(assumptions):
@@ -653,14 +707,17 @@ class Solver:
         return {v: vals[off + v] > 0 for v in self._active_list}
 
     def _satisfies_all(self, model: dict[int, bool]) -> bool:
-        """True iff the model satisfies every clause, inputs and learnts."""
+        """True iff the model satisfies every clause, inputs and the learnts
+        not deleted."""
         true_lits = {v if b else -v for v, b in model.items()}
-        return not any(map(true_lits.isdisjoint, self.clauses))
+        # filter(None) skips deleted slots, and an empty clause, which
+        # refutes the solver, so no model is ever checked against it.
+        return not any(map(true_lits.isdisjoint, filter(None, self.clauses)))
 
     def _verify_model(self, model: dict[int, bool]):
         if not self._satisfies_all(model):
             true_lits = {v if b else -v for v, b in model.items()}
-            lits = next(c for c in self.clauses if true_lits.isdisjoint(c))
+            lits = next(c for c in filter(None, self.clauses) if true_lits.isdisjoint(c))
             raise RuntimeError(f"internal: model fails clause {sorted(lits)}")
 
     # ------------------------------------------------------------------

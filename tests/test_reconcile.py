@@ -14,6 +14,7 @@ from lazysat import (
     decompose_lazy,
     eval_formula,
     normalize_clause,
+    parse_dimacs,
     reconcile,
 )
 from lazysat.reconcile import assemble_model
@@ -216,11 +217,26 @@ def test_stats_records_shape():
     assert r.stats.peak_itp_nodes >= 1
 
 
+def _record_solvers(monkeypatch) -> list[Solver]:
+    """Every Solver that reconcile makes from now on, in order of creation."""
+    module = importlib.import_module("lazysat.reconcile")
+    real_solver = module.Solver
+    made = []
+
+    def solver(*args, **kwargs):
+        made.append(real_solver(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, "Solver", solver)
+    return made
+
+
 # Exact counts of fixed runs: (verdict, rounds, G clauses, interpolants,
 # G conflicts, per-partition conflicts, G proof nodes, per-partition proof
 # nodes).  A change meant to leave the search as it is keeps all of them;
 # a change to branching, propagation order, proof logging or the clauses
-# G receives moves some.
+# G receives moves some.  Every solver here stays below the first
+# learnt-clause reduction, at 1,000 conflicts.
 _FINGERPRINTS = [
     ("php6-k1", pigeonhole(6, 5), 1, ItpSystem.MCMILLAN,
      ("UNSAT", 1, 0, 0, 0, (139,), 0, (1393,))),
@@ -239,15 +255,7 @@ _FINGERPRINTS = [
     "f,k,system,expect", [fp[1:] for fp in _FINGERPRINTS], ids=[fp[0] for fp in _FINGERPRINTS]
 )
 def test_search_fingerprints_are_unchanged(monkeypatch, f, k, system, expect):
-    module = importlib.import_module("lazysat.reconcile")
-    real_solver = module.Solver
-    made = []
-
-    def solver(*args, **kwargs):
-        made.append(real_solver(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(module, "Solver", solver)
+    made = _record_solvers(monkeypatch)
     r = reconcile(f, k, system)
     g, parts = made[0], made[1:]  # G is the first solver reconcile makes
     assert (
@@ -260,6 +268,38 @@ def test_search_fingerprints_are_unchanged(monkeypatch, f, k, system, expect):
         len(g.proof),
         tuple(len(p.proof) for p in parts),
     ) == expect
+
+
+def test_g_keeps_every_learnt_clause_and_partitions_reduce(monkeypatch):
+    import lazysat.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_REDUCE_FIRST", 20)
+    monkeypatch.setattr(solver_mod, "_REDUCE_INC", 0)
+    made = _record_solvers(monkeypatch)
+    r = reconcile(pigeonhole(7, 6), 10, ItpSystem.MCMILLAN)
+    g = made[0]
+    assert r.verdict == "UNSAT" and r.g_proof.check_refutation(r.g_refutation)
+    # G's search is the fingerprint's, reductions due or not
+    assert (g.n_conflicts, len(g.proof)) == (873, 18099)
+    assert None not in g.clauses and not g._lbd
+
+    del made[:]
+    r = reconcile(pigeonhole(6, 5), 1)
+    part = made[1]
+    assert r.verdict == "UNSAT" and r.g_proof.check_refutation(r.g_refutation)
+    assert None in part.clauses  # the partition solver did reduce
+
+
+def test_auxiliaries_follow_the_largest_variable_in_use(monkeypatch):
+    text = "p cnf 2000000 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
+    made = _record_solvers(monkeypatch)
+    r = reconcile(parse_dimacs(text), 2)
+    assert r.verdict == "UNSAT" and r.stats.interpolants > 0
+    assert made[0]._cap <= 64  # G's arrays never grew toward the header's count
+
+    sat = parse_dimacs("p cnf 1000 2\n1 2 0\n-1 3 0\n")
+    r = reconcile(sat, 2)
+    assert r.verdict == "SAT" and set(r.model) == set(range(1, 1001))
 
 
 def _unsat_3cnfs(rng, count):

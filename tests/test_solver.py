@@ -429,6 +429,8 @@ def test_learnt_proof_chains_derive_exact_clauses():
         first_learnt = n_inputs
         s.solve()
         for ci in range(first_learnt, len(s.clauses)):
+            if s.clauses[ci] is None:  # deleted; its node stays in the store
+                continue
             total += 1
             want = frozenset(s.clauses[ci])
             assert _recompute_clause(s.proof, s.clause_node[ci]) == want
@@ -513,17 +515,175 @@ def test_decision_heap_stays_bounded_and_picks_the_argmax(monkeypatch):
     assert stats["rescales"] > 10
 
 
-def test_model_check_covers_input_and_learnt_clauses():
+@pytest.fixture
+def frequent_reductions(monkeypatch):
+    """Restarts every few conflicts and a reduction at the first level-0
+    point after each 20 conflicts, so small instances reduce many times."""
+    import lazysat.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_RESTART_UNIT", 4)
+    monkeypatch.setattr(solver_mod, "_REDUCE_FIRST", 20)
+    monkeypatch.setattr(solver_mod, "_REDUCE_INC", 0)
+
+
+def _assert_nothing_refers_to_deleted_clauses(s):
+    """No watch list holds a deleted clause, and no assigned variable has one
+    as its reason (an unassigned variable's reason slot is never read)."""
+    clauses = s.clauses
+    for ws in s._watches:
+        assert all(clauses[ci] is not None for ci in ws)
+    for l in s.trail:
+        r = s._reason[abs(l)]
+        assert r < 0 or clauses[r] is not None
+
+
+def _checked_solver(monkeypatch, reductions):
+    """A Solver that checks the invariant above after every reduction and
+    at every conflict, whose clause must be live too."""
+    s = Solver()
+    reduce, analyze = s._reduce_learnts, s._analyze
+
+    def checked_reduce():
+        assert not s.trail_lim
+        reduce()
+        reductions.append(sum(c is None for c in s.clauses))
+        _assert_nothing_refers_to_deleted_clauses(s)
+
+    def checked_analyze(confl):
+        assert s.clauses[confl] is not None
+        _assert_nothing_refers_to_deleted_clauses(s)
+        return analyze(confl)
+
+    monkeypatch.setattr(s, "_reduce_learnts", checked_reduce)
+    monkeypatch.setattr(s, "_analyze", checked_analyze)
+    return s
+
+
+def _reduced_run(monkeypatch, f, assumption_sets):
+    """Solve f, then f under each assumption list, checking every outcome;
+    returns (outcomes, n_conflicts, proof size, deletions per reduction)."""
+    reductions: list[int] = []
+    s = _checked_solver(monkeypatch, reductions)
+    for c in f.clauses:
+        s.add_clause(c)
+    n_inputs = len(s.clauses)
+    outs = []
+    for assumptions in [[]] + assumption_sets:
+        out = s.solve(assumptions)
+        outs.append(out)
+        if isinstance(out, Sat):
+            assert eval_formula(f, out.model)
+            assert all(out.model[abs(a)] == (a > 0) for a in assumptions)
+        elif isinstance(out, Unsat):
+            assert s.proof.check_refutation(out.refutation)
+            break
+        else:
+            want = {-a for a in out.conflict_assumptions}
+            assert set(s.proof.clause_of(out.refutation)) <= want
+            assert s.proof.check_refutation(s.labeled_refutation(assumptions))
+        _assert_nothing_refers_to_deleted_clauses(s)
+    for ci in range(n_inputs, len(s.clauses)):
+        if s.clauses[ci] is not None:  # a kept learnt still has its exact chain
+            assert _recompute_clause(s.proof, s.clause_node[ci]) == frozenset(s.clauses[ci])
+    return outs, s.n_conflicts, len(s.proof), reductions
+
+
+def test_learnt_reduction_keeps_verdicts_proofs_and_determinism(monkeypatch, frequent_reductions):
     from tests.helpers import random_3cnf
 
-    f = random_3cnf(random.Random(11), 40, 165)
+    rng = random.Random(97)
+    cases = [(pigeonhole(6, 5), [])]
+    for _ in range(4):
+        f = random_3cnf(rng, 90, 384)
+        assumption_sets = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 91), 8)]
+            for _ in range(12)
+        ]
+        cases.append((f, assumption_sets))
+    verdicts = set()
+    total_reductions = 0
+    for f, assumption_sets in cases:
+        first = _reduced_run(monkeypatch, f, assumption_sets)
+        again = _reduced_run(monkeypatch, f, assumption_sets)
+        assert first == again
+        outs, _, _, reductions = first
+        verdicts.update(type(o) for o in outs)
+        total_reductions += len(reductions)
+        assert reductions and reductions[-1] > 0
+    assert verdicts == {Sat, Unsat, UnsatUnderAssumptions}
+    assert total_reductions > 50
+
+
+def test_reduction_deletes_the_worse_half_of_what_may_go(monkeypatch, frequent_reductions):
+    f = pigeonhole(6, 5)
+    s = Solver()
+    for c in f.clauses:
+        s.add_clause(c)
+    checked = []
+    reduce = s._reduce_learnts
+
+    def checked_reduce():
+        locked = {s._reason[abs(l)] for l in s.trail}
+        cands = [ci for ci in s._lbd if ci not in locked]
+        assert all(len(s.clauses[ci]) > 2 and s._lbd[ci] > 2 for ci in cands)
+        before = dict(s._lbd)
+        reduce()
+        dead = [ci for ci in cands if s.clauses[ci] is None]
+        kept = [ci for ci in cands if s.clauses[ci] is not None]
+        assert len(dead) == len(cands) // 2
+        assert all((before[d], -d) > (before[k], -k) for d in dead for k in kept)
+        assert all(s.clauses[ci] is not None for ci in locked if ci >= 0)
+        checked.append(len(dead))
+
+    monkeypatch.setattr(s, "_reduce_learnts", checked_reduce)
+    assert isinstance(s.solve(), Unsat)
+    assert len(checked) > 5 and sum(checked) > 0
+
+
+def test_reduction_keeps_the_reasons_of_level0_literals():
+    from tests.helpers import random_3cnf
+
+    f = random_3cnf(random.Random(0), 90, 384)
+
+    def solved():
+        s = Solver()
+        for c in f.clauses:
+            s.add_clause(c)
+        assert isinstance(s.solve(), Sat)
+        return s
+
+    s = solved()
+    doomed = sorted(s._lbd, key=lambda ci: (-s._lbd[ci], ci))[: len(s._lbd) // 2]
+    for ci in doomed:
+        # Units falsifying all but one literal of a learnt clause make it
+        # the reason of a level-0 literal.
+        s = solved()
+        lits = list(s.clauses[ci])
+        for q in lits[1:]:
+            s.add_clause([-q])
+        if s.unsat_node is None and s._reason[abs(lits[0])] == ci:
+            break
+    else:
+        pytest.fail("no learnt clause of the worse half became a level-0 reason")
+    s._reduce_learnts()
+    assert s.clauses[ci] is not None
+    assert None in s.clauses
+    _assert_nothing_refers_to_deleted_clauses(s)
+
+
+def test_model_check_covers_input_and_learnt_clauses(frequent_reductions):
+    from tests.helpers import random_3cnf
+
+    f = random_3cnf(random.Random(11), 90, 384)
     s = Solver()
     for c in f.clauses:
         s.add_clause(c)
     n_inputs = len(s.clauses)
     out = s.solve()
     assert isinstance(out, Sat)
-    assert len(s.clauses) > n_inputs  # learnt clauses follow the inputs
+    learnts = s.clauses[n_inputs:]
+    assert None in learnts  # some learnt clauses were deleted ...
+    assert any(c is not None for c in learnts)  # ... and some were kept
     s._verify_model(out.model)
 
     broken = dict(out.model)
@@ -532,11 +692,14 @@ def test_model_check_covers_input_and_learnt_clauses():
     with pytest.raises(RuntimeError, match=r"internal: model fails clause \["):
         s._verify_model(broken)
 
-    # a learnt-position clause that the model falsifies, inputs all satisfied
-    falsified = [-v if b else v for v, b in sorted(out.model.items())[:3]]
-    s._install_learnt(falsified, s.clause_node[-1])
+    # a kept learnt clause that the model falsifies, inputs all satisfied
+    ci = next(ci for ci in range(n_inputs, len(s.clauses)) if s.clauses[ci] is not None)
+    s.clauses[ci] = [-v if b else v for v, b in sorted(out.model.items())[:3]]
     with pytest.raises(RuntimeError, match=r"internal: model fails clause \["):
         s._verify_model(out.model)
+    assert not s._satisfies_all(out.model)  # so model reuse refuses it too
+    s.clauses[ci] = None  # deleted, it is no longer checked
+    s._verify_model(out.model)
 
 
 def _count_propagate(monkeypatch, s):
