@@ -160,12 +160,14 @@ def cmd_solve(args) -> int:
     if result.verdict == "SAT":
         model = result.model
         print("s SATISFIABLE")
-        lits = [v if model[v] else -v for v in sorted(model)]
-        for i in range(0, len(lits), 12):
-            chunk = lits[i : i + 12]
-            end = " 0" if i + 12 >= len(lits) else ""
-            print("v " + " ".join(str(l) for l in chunk) + end)
-        if not lits:
+        # Every declared variable, 12 to a line; one that occurs in no
+        # clause is absent from the model and printed false.
+        n = f.num_vars
+        for lo in range(1, n + 1, 12):
+            hi = min(lo + 12, n + 1)
+            lits = " ".join(str(v if model.get(v) else -v) for v in range(lo, hi))
+            print("v " + lits + (" 0" if hi > n else ""))
+        if not n:
             print("v 0")
     elif result.verdict == "UNSAT":
         if args.check_proofs:

@@ -28,7 +28,6 @@ class Decomposition:
     partitions: tuple[Partition, ...]
     shared_vars: frozenset[int]
     private_vars: tuple[frozenset[int], ...]
-    num_vars: int
 
 
 def shared_and_private(
@@ -64,4 +63,4 @@ def decompose_lazy(f: Formula, k: int) -> Decomposition:
         vs = frozenset(abs(l) for c in clauses for l in c)
         partitions.append(Partition(i, start, end, clauses, vs))
     shared, private = shared_and_private([p.vars for p in partitions])
-    return Decomposition(tuple(partitions), shared, private, f.num_vars)
+    return Decomposition(tuple(partitions), shared, private)

@@ -15,13 +15,17 @@ UNSAT and that partition's own refutation, whose leaves are input clauses
 of f, is the certificate.  No interpolant is built and G is not solved
 again.  At k=1 every UNSAT verdict is reached this way, in round 1.
 
-A partition is asked again only when it has no model from a Sat call, or
-when a shared variable it contains changed value since the previous
-round: otherwise the solver would hand back the same model through model
-reuse.  Interpolants from all failing partitions of a round are conjoined
-before G is re-solved, in ascending partition order, and all solvers are
-incremental across rounds.  Everything is deterministic unless a seeded
-random completion for unconstrained shared variables is requested.
+Each partition keeps its model from its last Sat call.  A round first
+writes m's values into a copy of that model; if the copy satisfies the
+partition's clauses, it is the partition's model for the round and the
+partition is not asked.  Its input clauses suffice for that check: every
+learnt clause follows from them, so a model of the inputs satisfies the
+learnts too.  A partition with no stored model, or whose copy falsifies
+one of its clauses, is solved under m.  Interpolants from all failing
+partitions of a round are conjoined before G is re-solved, in ascending
+partition order, and all solvers are incremental across rounds.
+Everything is deterministic unless a seeded random completion for
+unconstrained shared variables is requested.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable
+from typing import Callable, Iterable
 
 from .cnf import Clause, Formula, Lit, eval_formula
 from .decomp import Decomposition, decompose_lazy
@@ -105,14 +109,18 @@ def assemble_model(
     m: dict[int, bool],
     extensions: dict[int, dict[int, bool]],
     decomposition: Decomposition,
+    variables: Iterable[int],
 ) -> dict[int, bool]:
     """Merge the shared model with each partition's private extension.
 
     Extensions must agree with m on shared variables (the assumption
     mechanism guarantees it; disagreement means a bug, not an input error).
-    Variables in no partition default to false.
+    The model covers ``variables``, the variables occurring in the input;
+    those in no partition, which occur only in tautological clauses, are
+    false.
     """
-    model = dict(m)
+    model = dict.fromkeys(variables, False)
+    model.update(m)
     for i, ext in extensions.items():
         part = decomposition.partitions[i]
         for v in part.vars:
@@ -123,8 +131,6 @@ def assemble_model(
                     )
             else:
                 model[v] = ext[v]
-    for v in range(1, decomposition.num_vars + 1):
-        model.setdefault(v, False)
     return model
 
 
@@ -139,8 +145,10 @@ def reconcile(
 ) -> ReconcileResult:
     """Decide f by reconciling k lazy partitions; see the module docstring.
 
-    A formula with no clauses is satisfiable for any k, with every variable
-    false.
+    A SAT model covers the variables occurring in f, tautological clauses
+    included, and no others: a variable the header declares but no clause
+    uses has no value.  A formula with no clauses is satisfiable for any k,
+    with the empty model.
 
     ``on_event``, when given, is called synchronously with each event of
     the loop, in order:
@@ -157,8 +165,7 @@ def reconcile(
     deadline = time.monotonic() + timeout if timeout is not None else None
     stats = ReconcileStats()
     if not f.clauses:
-        model = {v: False for v in range(1, f.num_vars + 1)}
-        return ReconcileResult("SAT", model, stats)
+        return ReconcileResult("SAT", {}, stats)
     decomposition = decompose_lazy(f, k)
 
     def exhausted(kind: str) -> ReconcileResult:
@@ -179,21 +186,18 @@ def reconcile(
         parts.append(s)
     # Auxiliaries follow the largest variable in use, not the header's count,
     # so a header that overstates it does not size G's arrays.
-    fresh = count(max(f.vars(), default=0) + 1)
+    f_vars = f.vars()
+    fresh = count(max(f_vars, default=0) + 1)
     shared_sorted = sorted(decomposition.shared_vars)
     part_shared = [
         sorted(part.vars & decomposition.shared_vars)
         for part in decomposition.partitions
     ]
-    parts_of: dict[int, list[int]] = {v: [] for v in shared_sorted}
-    for i, vs in enumerate(part_shared):
-        for v in vs:
-            parts_of[v].append(i)
     rng = random.Random(completion_seed) if completion_seed is not None else None
-    # A partition's model from its last Sat call, kept while it still answers
-    # the current shared model; dropped when the partition refuses.
+    # A partition's model from its last Sat call, carried from round to round
+    # with m written in while it still satisfies the partition's clauses;
+    # dropped when the partition refuses.
     extensions: dict[int, dict[int, bool]] = {}
-    prev_m: dict[int, bool] = {}
 
     for round_idx in range(max_rounds):
         stats.rounds = round_idx + 1
@@ -216,16 +220,14 @@ def reconcile(
         if on_event is not None:
             on_event(Round(round_idx, m))
 
-        # Only partitions with no extension, or with a shared variable whose
-        # value moved, can answer differently from their last Sat call.
-        to_call = {i for i in range(len(parts)) if i not in extensions}
-        for v in shared_sorted:
-            if prev_m.get(v) != m[v]:
-                to_call.update(parts_of[v])
-        prev_m = m
         any_failed = False
-        for i in sorted(to_call):
-            part_solver = parts[i]
+        for i, part_solver in enumerate(parts):
+            if i in extensions:
+                ext = {**extensions[i], **{v: m[v] for v in part_shared[i]}}
+                true_lits = {v if b else -v for v, b in ext.items()}
+                if not any(map(true_lits.isdisjoint, decomposition.partitions[i].clauses)):
+                    extensions[i] = ext
+                    continue
             if deadline is not None and time.monotonic() > deadline:
                 return exhausted("time")
             assumptions = [v if m[v] else -v for v in part_shared[i]]
@@ -256,7 +258,7 @@ def reconcile(
                 lowered = tuple(lowered)
                 on_event(Interpolant(round_idx, i, ref, rbc, proof, root, core, lowered))
         if not any_failed:
-            model = assemble_model(m, extensions, decomposition)
+            model = assemble_model(m, extensions, decomposition, f_vars)
             if not eval_formula(f, model):
                 raise RuntimeError("internal: assembled model fails the input formula")
             return ReconcileResult("SAT", model, stats)

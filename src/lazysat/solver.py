@@ -19,18 +19,15 @@ Design notes, fixed for reproducibility:
   literals when it was learnt) first, ties to the lower clause index.
   Binary clauses, clauses of LBD at most 2 and reasons of level-0
   literals stay.  A deleted clause is implied by the clauses that derived
-  it: it leaves the watch lists, the model check and model reuse, and its
-  slot in ``clauses`` becomes None, so clause indices stay stable.  Its
-  proof node stays in the append-only store, so every proof stays valid
-  across incremental calls;
+  it: it leaves the watch lists and the model check, and its slot in
+  ``clauses`` becomes None, so clause indices stay stable.  Its proof node
+  stays in the append-only store, so every proof stays valid across
+  incremental calls;
 * every learnt clause carries a proof chain built only from clause nodes
   (label A), never from assumption literals, which is what keeps learnt
   clauses sound premises under any future assumptions;
-* a call first tries the previous Sat model, with the call's assumptions
-  written in: when no variable was activated since and that model
-  satisfies every clause, it is the answer and no search runs;
-* every Sat answer, searched or reused, is checked against all clauses,
-  inputs and the learnts not deleted, before it is returned;
+* every Sat answer comes from a search and is checked against all
+  clauses, inputs and the learnts not deleted, before it is returned;
 * the value array stores an assignment made at decision level 0 as +-2 and
   any other as +-1, so one load tells a fact that holds for good, since
   level 0 is never undone.  A clause satisfied at level 0 can never
@@ -38,7 +35,7 @@ Design notes, fixed for reproducibility:
   ``_propagate`` drops the watch through which it meets one.  Detaching only
   removes such clauses from watch lists, keeping the order of the others,
   so the search is the same as with them attached; they stay in
-  ``clauses``, so analysis, the model check and model reuse see them.
+  ``clauses``, so analysis and the model check see them.
 
 Conflict analysis is First-UIP.  Literals already falsified at level 0 are
 resolved out of the learnt clause (their reason chains are part of the logged
@@ -602,12 +599,11 @@ class Solver:
 
         Returns Sat with a model over all solver variables, Unsat if the
         database alone is contradictory, or UnsatUnderAssumptions with a
-        conflicting subset of the assumptions.  A Sat model may be the
-        previous call's, with the assumptions written in, when that still
-        satisfies every clause; it is checked against every clause either
-        way.  Learnt clauses not deleted by a reduction, and every proof
-        node, persist across calls.  Raises
-        BudgetExceeded past ``deadline`` (a time.monotonic() timestamp).
+        conflicting subset of the assumptions.  A Sat model is checked
+        against every clause before it is returned.  Learnt clauses not
+        deleted by a reduction, and every proof node, persist across calls.
+        Raises BudgetExceeded past ``deadline`` (a time.monotonic()
+        timestamp).
         """
         if self.unsat_node is not None:
             self._last = Unsat(self.unsat_node)
@@ -618,16 +614,6 @@ class Solver:
             raise ValueError(f"inconsistent assumption list {assumptions}")
         for l in assumptions:
             self._activate(abs(l))
-        last = self._last
-        if isinstance(last, Sat) and len(last.model) == len(self._active_list):
-            # The previous model, with the assumptions written in, answers
-            # this call if it satisfies every clause: no search is needed.
-            model = dict(last.model)
-            for l in assumptions:
-                model[abs(l)] = l > 0
-            if self._satisfies_all(model):
-                self._last = Sat(model)
-                return self._last
         self._backtrack(0)
         reducing = self._next_reduce is not None
         if reducing and self.n_conflicts >= self._next_reduce:
@@ -706,19 +692,15 @@ class Solver:
         vals = self._vals
         return {v: vals[off + v] > 0 for v in self._active_list}
 
-    def _satisfies_all(self, model: dict[int, bool]) -> bool:
-        """True iff the model satisfies every clause, inputs and the learnts
-        not deleted."""
+    def _verify_model(self, model: dict[int, bool]):
+        """Raise unless the model satisfies every clause, inputs and the
+        learnts not deleted."""
         true_lits = {v if b else -v for v, b in model.items()}
         # filter(None) skips deleted slots, and an empty clause, which
         # refutes the solver, so no model is ever checked against it.
-        return not any(map(true_lits.isdisjoint, filter(None, self.clauses)))
-
-    def _verify_model(self, model: dict[int, bool]):
-        if not self._satisfies_all(model):
-            true_lits = {v if b else -v for v, b in model.items()}
-            lits = next(c for c in filter(None, self.clauses) if true_lits.isdisjoint(c))
-            raise RuntimeError(f"internal: model fails clause {sorted(lits)}")
+        falsified = next(filter(true_lits.isdisjoint, filter(None, self.clauses)), None)
+        if falsified is not None:
+            raise RuntimeError(f"internal: model fails clause {sorted(falsified)}")
 
     # ------------------------------------------------------------------
     # labeled refutations: a refusal as a proof over A clauses and B units

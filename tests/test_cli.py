@@ -92,6 +92,19 @@ def test_solve_empty_formula_trivially_sat(tmp_path, capsys):
     assert "v -1 -2 -3 0" in out
 
 
+def test_solve_prints_every_declared_variable_on_an_overstated_header(tmp_path, capsys):
+    # The model holds variables 1 and 2 only; the v lines still cover 1..30,
+    # 12 literals to a line, with the variables in no clause false.
+    path = _write(tmp_path, "wide.cnf", "p cnf 30 2\n1 2 0\n-1 0\n")
+    code = main(["solve", path, "--partitions", "2"])
+    vlines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("v ")]
+    assert code == 10
+    assert vlines[0] == "v -1 2 -3 -4 -5 -6 -7 -8 -9 -10 -11 -12"
+    assert vlines[-1] == "v -25 -26 -27 -28 -29 -30 0"
+    lits = [int(x) for l in vlines for x in l[2:].split()]
+    assert lits == [-1, 2] + [-v for v in range(3, 31)] + [0]
+
+
 def test_solve_parse_error_exit(tmp_path, capsys):
     path = _write(tmp_path, "bad.cnf", "p cnf x 1\n")
     assert main(["solve", path]) == 1

@@ -68,20 +68,20 @@ def test_var_disjoint_satisfiable_partitions_are_satisfiable():
 
 
 def test_assemble_model_merges_consistently():
-    f = Formula(((1, 2), (2, 3)), 4)  # var 4 unused
+    f = Formula(((1, 2), (2, 3), (5, -5)), 5)  # var 4 unused, 5 in a tautology only
     d = decompose_lazy(f, 2)
     assert d.shared_vars == {2}
     m = {2: True}
     ext = {0: {1: False, 2: True}, 1: {2: True, 3: False}}
-    model = assemble_model(m, ext, d)
-    assert model == {1: False, 2: True, 3: False, 4: False}
+    model = assemble_model(m, ext, d, f.vars())
+    assert model == {1: False, 2: True, 3: False, 5: False}
 
 
 def test_assemble_model_disagreement_is_internal_error():
     f = Formula(((1, 2), (2, 3)), 3)
     d = decompose_lazy(f, 2)
     with pytest.raises(RuntimeError):
-        assemble_model({2: True}, {0: {1: False, 2: False}}, d)
+        assemble_model({2: True}, {0: {1: False, 2: False}}, d, f.vars())
 
 
 def test_soundness_matches_oracle_across_k_and_systems():
@@ -199,14 +199,14 @@ def test_seeded_completion_is_reproducible():
 
 
 def test_all_tautology_formula_is_sat_with_default_model():
-    f = Formula(((1, -1), (2, -2)), 3)
+    f = Formula(((1, -1), (2, -2)), 3)  # var 3 declared, in no clause
     r = reconcile(f, 2)
     assert r.verdict == "SAT"
-    assert r.model == {1: False, 2: False, 3: False}
+    assert r.model == {1: False, 2: False}
     for k in (1, 2):  # no clauses at all: nothing to partition
         r = reconcile(Formula((), 3), k)
         assert r.verdict == "SAT"
-        assert r.model == {1: False, 2: False, 3: False}
+        assert r.model == {}
 
 
 def test_stats_records_shape():
@@ -299,7 +299,7 @@ def test_auxiliaries_follow_the_largest_variable_in_use(monkeypatch):
 
     sat = parse_dimacs("p cnf 1000 2\n1 2 0\n-1 3 0\n")
     r = reconcile(sat, 2)
-    assert r.verdict == "SAT" and set(r.model) == set(range(1, 1001))
+    assert r.verdict == "SAT" and set(r.model) == {1, 2, 3}  # the variables in use
 
 
 def _unsat_3cnfs(rng, count):
@@ -339,8 +339,8 @@ def test_partition_that_refutes_itself_ends_the_run_with_its_own_refutation(f, k
 
 
 def _log_partition_calls(monkeypatch):
-    """Record (partition, assumptions, outcome is Sat) for every partition
-    solve of the next reconcile calls."""
+    """Record (partition, assumptions, outcome) for every partition solve of
+    the next reconcile calls."""
     module = importlib.import_module("lazysat.reconcile")
     real_solver = module.Solver
     made = []
@@ -355,7 +355,7 @@ def _log_partition_calls(monkeypatch):
         def solve(assumptions=(), **kw):
             out = real_solve(assumptions, **kw)
             if index >= 0:
-                calls.append((index, tuple(assumptions), isinstance(out, Sat)))
+                calls.append((index, tuple(assumptions), out))
             return out
 
         s.solve = solve
@@ -365,7 +365,14 @@ def _log_partition_calls(monkeypatch):
     return calls
 
 
+def _satisfies(model, clauses):
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
 def test_partition_is_not_asked_again_with_the_assumptions_it_answered(monkeypatch):
+    # A partition is asked in a round exactly when it has no stored model or
+    # its stored model, with the round's m written in, falsifies one of its
+    # clauses; a partition that is not asked keeps that copy as its model.
     rng = random.Random(113)
     cases = [(pigeonhole(7, 6), 10, ItpSystem.MCMILLAN, False),
              (pigeonhole(6, 5), 4, ItpSystem.HKP, False)]
@@ -375,14 +382,71 @@ def test_partition_is_not_asked_again_with_the_assumptions_it_answered(monkeypat
         k = min(rng.choice((2, 3, 5)), len(f.clauses))
         cases.append((f, k, rng.choice(list(ItpSystem)), brute_force(f) is not None))
     for f, k, system, sat in cases:
-        calls = _log_partition_calls(monkeypatch)
-        r = reconcile(f, k, system)
+        log = _log_partition_calls(monkeypatch)
+        r = reconcile(f, k, system, on_event=lambda e: isinstance(e, Round) and log.append(e))
         monkeypatch.undo()
         assert r.verdict == ("SAT" if sat else "UNSAT")
+        partitions = decompose_lazy(f, k).partitions
+        stored: dict[int, dict[int, bool]] = {}
         last = {}
-        for i, assumptions, answered in calls:
-            assert last.get(i) != (assumptions, True), (f, k, system, i)
-            last[i] = (assumptions, answered)
+        for pos, entry in enumerate(log):
+            if not isinstance(entry, Round):
+                continue
+            expect = []
+            for i, part in enumerate(partitions):
+                copy = stored.get(i)
+                if copy is not None:
+                    copy = {**copy, **{v: b for v, b in entry.m.items() if v in part.vars}}
+                    if _satisfies(copy, part.clauses):
+                        stored[i] = copy
+                        continue
+                expect.append(i)
+            calls = []
+            for call in log[pos + 1 :]:
+                if isinstance(call, Round):
+                    break
+                calls.append(call)
+            assert [c[0] for c in calls] == expect[: len(calls)], (f, k, system)
+            for i, assumptions, out in calls:
+                answered = isinstance(out, Sat)
+                assert last.get(i) != (assumptions, True), (f, k, system, i)
+                last[i] = (assumptions, answered)
+                if answered:
+                    stored[i] = out.model
+                else:
+                    stored.pop(i, None)
+        if sat:  # the final round asked every partition it had to
+            assert len(calls) == len(expect)
+            assert all(r.model[v] == b for model in stored.values() for v, b in model.items())
+
+
+def test_partition_whose_copy_satisfies_its_clauses_is_not_asked(monkeypatch):
+    # Partition 1 refuses m = {1: F} and G then proposes m = {1: T}.  With 1
+    # written in, partition 0's stored model {1: F, 3: T, 4: T} still
+    # satisfies (1 3) and (-3 4), so partition 0 is not asked again, and its
+    # stored values of 3 and 4 reach the model: a new search under 1 would
+    # have set both false.
+    f = Formula(((1, 3), (-3, 4), (1, 5), (1, -5)), 5)
+    log = _log_partition_calls(monkeypatch)
+    r = reconcile(f, 2)
+    assert r.verdict == "SAT" and r.stats.rounds == 2
+    assert [(i, a, isinstance(out, Sat)) for i, a, out in log] == [
+        (0, (-1,), True), (1, (-1,), False), (1, (1,), True)
+    ]
+    assert r.model == {1: True, 3: True, 4: True, 5: False}
+
+
+def test_partition_whose_copy_falsifies_a_clause_is_asked(monkeypatch):
+    # As above, but partition 0's stored model {1: F, 3: T}, with 1 written
+    # in, falsifies (-1 -3): partition 0 is solved under m = {1: T}.
+    f = Formula(((1, 3), (-1, -3), (1, 5), (1, -5)), 5)
+    log = _log_partition_calls(monkeypatch)
+    r = reconcile(f, 2)
+    assert r.verdict == "SAT" and r.stats.rounds == 2
+    assert [(i, a, isinstance(out, Sat)) for i, a, out in log] == [
+        (0, (-1,), True), (1, (-1,), False), (0, (1,), True), (1, (1,), True)
+    ]
+    assert r.model == {1: True, 3: False, 5: False}
 
 
 def _interpolant_events(f, k, system):

@@ -402,6 +402,15 @@ def test_labeled_refutation_after_sat_is_contract_violation():
     with pytest.raises(ValueError):
         s.labeled_refutation([])
 
+    # a Sat answer, then a refusal: the refusal's labeled refutation checks
+    s = Solver()
+    s.add_clause([1, 2])
+    assert isinstance(s.solve([-1]), Sat)
+    with pytest.raises(ValueError):
+        s.labeled_refutation([-1])
+    assert isinstance(s.solve([-1, -2]), UnsatUnderAssumptions)
+    assert s.proof.check_refutation(s.labeled_refutation([-1, -2]))
+
 
 def _recompute_clause(proof, node_id):
     """Recompute a node's clause from input leaves, ignoring every cache."""
@@ -697,83 +706,12 @@ def test_model_check_covers_input_and_learnt_clauses(frequent_reductions):
     s.clauses[ci] = [-v if b else v for v, b in sorted(out.model.items())[:3]]
     with pytest.raises(RuntimeError, match=r"internal: model fails clause \["):
         s._verify_model(out.model)
-    assert not s._satisfies_all(out.model)  # so model reuse refuses it too
     s.clauses[ci] = None  # deleted, it is no longer checked
     s._verify_model(out.model)
 
 
-def _count_propagate(monkeypatch, s):
-    calls = []
-    real = s._propagate
-
-    def counted():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(s, "_propagate", counted)
-    return calls
-
-
 def _satisfies(model, clauses):
     return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
-
-
-def test_compatible_assumptions_reuse_the_last_model(monkeypatch):
-    s = Solver()
-    clauses = [(1, 2), (3, 4), (-2, 5)]
-    for c in clauses:
-        s.add_clause(c)
-    first = s.solve()
-    assert isinstance(first, Sat) and first.model[1] is False
-    calls = _count_propagate(monkeypatch, s)
-    out = s.solve([1, -3])  # 1 flips; (1 2) and (3 4) stay satisfied
-    assert calls == []
-    assert isinstance(out, Sat)
-    assert set(out.model) == {1, 2, 3, 4, 5}
-    assert out.model[1] is True and out.model[3] is False
-    assert _satisfies(out.model, clauses)
-    assert first.model[1] is False  # the earlier answer is not mutated
-
-
-def test_reuse_refused_when_the_last_model_does_not_answer(monkeypatch):
-    s = Solver()
-    clauses = [(1, 2), (3, 4)]
-    for c in clauses:
-        s.add_clause(c)
-    model = s.solve().model
-    calls = _count_propagate(monkeypatch, s)
-
-    # a clause added since, falsified by the last model
-    falsified = tuple(v if not model[v] else -v for v in (1, 3))
-    s.add_clause(falsified)
-    clauses.append(falsified)
-    del calls[:]
-    out = s.solve()
-    assert calls and isinstance(out, Sat) and _satisfies(out.model, clauses)
-
-    # an assumption over a variable activated by this call
-    del calls[:]
-    out = s.solve([6])
-    assert calls and isinstance(out, Sat) and out.model[6] is True
-    assert set(out.model) == {1, 2, 3, 4, 6}
-
-    # after an UnsatUnderAssumptions outcome
-    refused = s.solve([-1, -2])
-    assert isinstance(refused, UnsatUnderAssumptions)
-    del calls[:]
-    out = s.solve([-1])
-    assert calls and isinstance(out, Sat) and out.model[2] is True
-
-    # a reused Sat, then a refusal: its labeled refutation still checks
-    del calls[:]
-    out = s.solve([-1])
-    assert calls == [] and isinstance(out, Sat)
-    with pytest.raises(ValueError):
-        s.labeled_refutation([-1])
-    refused = s.solve([-1, -2])
-    assert calls and isinstance(refused, UnsatUnderAssumptions)
-    root = s.labeled_refutation([-1, -2])
-    assert s.proof.check_refutation(root)
 
 
 _lits8 = st.integers(1, 8).flatmap(lambda v: st.sampled_from((v, -v)))
