@@ -9,7 +9,6 @@ are reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cnf import Clause, Formula, is_tautology
 
@@ -27,20 +26,6 @@ class Partition:
 class Decomposition:
     partitions: tuple[Partition, ...]
     shared_vars: frozenset[int]
-    private_vars: tuple[frozenset[int], ...]
-
-
-def shared_and_private(
-    var_sets: Sequence[frozenset[int]],
-) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-    """Variables in two or more sets, and each set's remainder."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    for vs in var_sets:
-        shared.update(vs & seen)
-        seen.update(vs)
-    shared_f = frozenset(shared)
-    return shared_f, tuple(vs - shared_f for vs in var_sets)
 
 
 def decompose_lazy(f: Formula, k: int) -> Decomposition:
@@ -62,5 +47,9 @@ def decompose_lazy(f: Formula, k: int) -> Decomposition:
         )
         vs = frozenset(abs(l) for c in clauses for l in c)
         partitions.append(Partition(i, start, end, clauses, vs))
-    shared, private = shared_and_private([p.vars for p in partitions])
-    return Decomposition(tuple(partitions), shared, private)
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for p in partitions:
+        shared.update(p.vars & seen)
+        seen.update(p.vars)
+    return Decomposition(tuple(partitions), frozenset(shared))

@@ -86,7 +86,6 @@ Event = Round | Interpolant
 @dataclass
 class ReconcileStats:
     rounds: int = 0
-    g_solves: int = 0
     g_clause_count: int = 0
     peak_itp_nodes: int = 0
     interpolants: int = 0
@@ -205,7 +204,6 @@ def reconcile(
             g_out = g.solve(deadline=deadline)
         except BudgetExceeded:
             return exhausted("time")
-        stats.g_solves += 1
         if not isinstance(g_out, Sat):
             return refuted(g.proof, g_out.refutation)
         g_model = g_out.model

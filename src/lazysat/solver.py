@@ -37,12 +37,15 @@ Design notes, fixed for reproducibility:
   so the search is the same as with them attached; they stay in
   ``clauses``, so analysis and the model check see them.
 
-Conflict analysis is First-UIP.  Literals already falsified at level 0 are
-resolved out of the learnt clause (their reason chains are part of the logged
-derivation), so each learnt clause's proof node derives exactly that clause.
-They are resolved latest on the trail first, popped from a heap keyed on
-trail position, so the cost follows the literals resolved, not the length of
-the level-0 trail.
+Conflict analysis is First-UIP.  One backward walk resolves literals out
+of a clause, latest on the trail first: the level-0 literals of each learnt
+clause, whose reason chains are then part of its logged derivation, so each
+learnt clause's proof node derives exactly that clause; every literal of a
+conflict at level 0, which derives the empty clause; and every literal of
+the reason of a falsified assumption except that assumption's negation, whose
+decisions left over are the assumptions responsible.  The walk pops a heap
+keyed on trail position, so its cost follows the literals resolved, not the
+length of the trail.
 """
 
 from __future__ import annotations
@@ -396,22 +399,39 @@ class Solver:
                 node = append(node, rnode, -t)
         return node
 
-    def _sweep_level0(self, steps, touched, heap):
-        """Resolve the marked level-0 variables out, latest on the trail first.
+    def _resolve_back(self, start: int, steps, lits):
+        """Extend the chain that begins at clause ``start`` and goes on
+        through ``steps``, resolving ``lits`` out latest on the trail first.
 
-        ``heap`` holds -_tpos[v] for each of them.  A reason clause holds
-        only literals earlier on the trail than the one it implies, so the
-        order is the one a backward walk of the trail would give.
+        ``lits`` are falsified literals of the chain's clause, repeats
+        allowed.  A literal with a reason is resolved against it; one
+        without is a decision and stays.  A reason clause holds only
+        literals earlier on the trail than the one it implies, so a heap on
+        trail position gives the order of a backward walk of the trail, at a
+        cost that follows the literals resolved.  Returns the proof node and
+        the decisions met, latest first.
         """
         seen = self._seen
         trail = self.trail
         reason = self._reason
         clauses = self.clauses
         tpos = self._tpos
+        touched: list[int] = []
+        heap: list[int] = []
+        for q in lits:
+            v = q if q > 0 else -q
+            if not seen[v]:
+                seen[v] = 1
+                touched.append(v)
+                heap.append(-tpos[v])
         heapify(heap)
+        decisions: list[Lit] = []
         while heap:
             t = trail[-heappop(heap)]
             rci = reason[t if t > 0 else -t]
+            if rci < 0:
+                decisions.append(t)
+                continue
             steps.append((rci, t))
             for q in clauses[rci]:
                 if q != t:
@@ -420,25 +440,13 @@ class Solver:
                         seen[u] = 1
                         touched.append(u)
                         heappush(heap, -tpos[u])
+        for v in touched:
+            seen[v] = 0
+        return self._chain_to_node(start, steps), decisions
 
     def _refute_at_level0(self, confl: int):
         """Derive the empty clause from a conflict at decision level 0."""
-        seen = self._seen
-        tpos = self._tpos
-        steps: list[tuple[int, int]] = []
-        touched: list[int] = []
-        heap: list[int] = []
-        for q in self.clauses[confl]:
-            v = q if q > 0 else -q
-            if not seen[v]:
-                seen[v] = 1
-                touched.append(v)
-                heap.append(-tpos[v])
-        self._sweep_level0(steps, touched, heap)
-        node = self._chain_to_node(confl, steps)
-        for v in touched:
-            seen[v] = 0
-        self.unsat_node = node
+        self.unsat_node = self._resolve_back(confl, [], self.clauses[confl])[0]
 
     def _analyze(self, confl: int):
         """First-UIP analysis; returns (learnt lits, backjump level, proof node).
@@ -451,10 +459,9 @@ class Solver:
         reason = self._reason
         trail = self.trail
         seen = self._seen
-        tpos = self._tpos
         cur_level = len(self.trail_lim)
         learnt: list[Lit] = []
-        l0_heap: list[int] = []
+        level0: list[Lit] = []
         steps: list[tuple[int, int]] = []
         touched: list[int] = []
         path = 0
@@ -469,17 +476,17 @@ class Solver:
                     continue
                 v = q if q > 0 else -q
                 if not seen[v]:
+                    lv = level[v]
+                    if not lv:
+                        level0.append(q)  # the walk drops repeats
+                        continue
                     seen[v] = 1
                     touched.append(v)
-                    lv = level[v]
                     if lv >= cur_level:
                         path += 1
-                        self._bump(v)
-                    elif lv > 0:
-                        learnt.append(q)
-                        self._bump(v)
                     else:
-                        l0_heap.append(-tpos[v])
+                        learnt.append(q)
+                    self._bump(v)
             while True:
                 t = trail[idx]
                 v = t if t > 0 else -t
@@ -493,12 +500,10 @@ class Solver:
             idx -= 1
             if path == 0:
                 break
-        if l0_heap:
-            self._sweep_level0(steps, touched, l0_heap)
         learnt.insert(0, -p)
-        node = self._chain_to_node(confl, steps)
         for v in touched:
             seen[v] = 0
+        node = self._resolve_back(confl, steps, level0)[0]
         if len(learnt) == 1:
             bt = 0
         else:
@@ -513,51 +518,12 @@ class Solver:
     def _analyze_final(self, p: Lit) -> UnsatUnderAssumptions:
         """Assumption p is falsified: derive the clause over the negations of
         the assumptions responsible (p's own negation included)."""
-        vp = abs(p)
-        rci = self._reason[vp]
+        rci = self._reason[abs(p)]
         if rci < 0:
             raise RuntimeError("internal: falsified assumption without a reason")
-        seen = self._seen
-        steps: list[tuple[int, int]] = []
-        touched: list[int] = []
-        conflicting = [p]
-        remaining = 0
-        for q in self.clauses[rci]:
-            if q == -p:
-                continue
-            v = q if q > 0 else -q
-            if not seen[v]:
-                seen[v] = 1
-                touched.append(v)
-                remaining += 1
-        trail = self.trail
-        reason = self._reason
-        clauses = self.clauses
-        pos = self._tpos[vp] - 1
-        while remaining:
-            t = trail[pos]
-            pos -= 1
-            v = t if t > 0 else -t
-            if not seen[v]:
-                continue
-            seen[v] = 0
-            remaining -= 1
-            r = reason[v]
-            if r < 0:
-                conflicting.append(t)  # an assumption decision
-            else:
-                steps.append((r, t))
-                for q in clauses[r]:
-                    if q != t:
-                        u = q if q > 0 else -q
-                        if not seen[u]:
-                            seen[u] = 1
-                            touched.append(u)
-                            remaining += 1
-        for v in touched:
-            seen[v] = 0
-        node = self._chain_to_node(rci, steps)
-        return UnsatUnderAssumptions(tuple(conflicting), node)
+        lits = [q for q in self.clauses[rci] if q != -p]
+        node, decisions = self._resolve_back(rci, [], lits)
+        return UnsatUnderAssumptions((p, *decisions), node)
 
     # ------------------------------------------------------------------
     # search

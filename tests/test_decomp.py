@@ -3,7 +3,6 @@ import random
 import pytest
 
 from lazysat import Formula, decompose_lazy, normalize_clause
-from lazysat.decomp import shared_and_private
 from tests.helpers import random_formula
 
 
@@ -29,23 +28,12 @@ def test_single_partition_has_no_shared_vars():
     d = decompose_lazy(f, 1)
     assert len(d.partitions) == 1
     assert d.shared_vars == frozenset()
-    assert d.private_vars[0] == f.vars()
 
 
 @pytest.mark.parametrize("k", [0, -1, 11])
 def test_bad_partition_count_rejected(k):
     with pytest.raises(ValueError):
         decompose_lazy(_chain_formula(10), k)
-
-
-def test_shared_and_private_examples():
-    shared, private = shared_and_private([frozenset({1, 2}), frozenset({2, 3})])
-    assert shared == {2} and private == (frozenset({1}), frozenset({3}))
-    vs = frozenset({1, 2, 3})
-    shared, private = shared_and_private([vs, vs])
-    assert shared == vs and private == (frozenset(), frozenset())
-    shared, private = shared_and_private([frozenset({1}), frozenset({2})])
-    assert shared == frozenset()
 
 
 def test_partitions_cover_clauses_in_order():
@@ -66,16 +54,15 @@ def test_partitions_cover_clauses_in_order():
             assert rebuilt == f.clauses
 
 
-def test_every_var_in_exactly_one_category():
+def test_shared_iff_in_two_or_more_partitions():
     rng = random.Random(4)
     for _ in range(30):
         f = random_formula(rng, rng.randint(3, 12), rng.randint(2, 24))
         k = rng.randint(1, len(f.clauses))
         d = decompose_lazy(f, k)
         for v in range(1, f.num_vars + 1):
-            cats = int(v in d.shared_vars) + sum(v in pv for pv in d.private_vars)
-            occurs = any(v in p.vars for p in d.partitions)
-            assert cats == (1 if occurs else 0)
+            owners = sum(v in p.vars for p in d.partitions)
+            assert (v in d.shared_vars) == (owners >= 2)
 
 
 def test_tautology_placeholder_occupies_index_but_not_partition():

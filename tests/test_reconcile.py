@@ -34,13 +34,13 @@ def test_unsat_worked_example():
     f = Formula(((1, 2), (-1,), (-2,)), 2)
     r = reconcile(f, 2)
     assert r.verdict == "UNSAT"
-    assert r.stats.g_solves <= 4
+    assert r.stats.rounds <= 4
     assert r.g_proof.check_refutation(r.g_refutation)
     # with the clause order that splits as ({~y}, {x v y, ~x}) the shared set
-    # is just {y} and the loop needs at most three G solves
+    # is just {y} and the loop needs at most three rounds
     fr = Formula(((-2,), (1, 2), (-1,)), 2)
     rr = reconcile(fr, 2)
-    assert rr.verdict == "UNSAT" and rr.stats.g_solves <= 3
+    assert rr.verdict == "UNSAT" and rr.stats.rounds <= 3
 
 
 def test_sat_worked_example():
@@ -326,7 +326,7 @@ def test_partition_that_refutes_itself_ends_the_run_with_its_own_refutation(f, k
     seen = []
     r = reconcile(f, k, on_event=seen.append)
     assert r.verdict == "UNSAT"
-    assert (r.stats.rounds, r.stats.g_solves, r.stats.interpolants) == (1, 1, 0)
+    assert (r.stats.rounds, r.stats.interpolants) == (1, 0)
     assert r.stats.g_clause_count == 0
     assert not any(isinstance(e, Interpolant) for e in seen)
     assert r.g_proof.check_refutation(r.g_refutation)

@@ -98,6 +98,21 @@ def test_solve_unsat_under_assumptions_conflict_subset():
     assert all(s.proof.node(i)[2] == LABEL_A for i in leaves)
 
 
+def test_refusal_core_is_the_falsified_assumption_then_decisions_latest_first():
+    # 5 holds at level 0; deciding 1 implies 7, deciding 4 implies nothing,
+    # and deciding 2 implies -3, which falsifies the last assumption.
+    s = Solver()
+    s.add_clause([5])
+    s.add_clause([-1, -5, 7])
+    s.add_clause([-7, -2, -3])
+    out = s.solve([1, 4, 2, 3])
+    assert isinstance(out, UnsatUnderAssumptions)
+    assert out.conflict_assumptions == (3, 2, 1)
+    # 7 and the level-0 literal 5 are resolved out; the idle decision 4 is not met
+    assert sorted(s.proof.clause_of(out.refutation)) == [-3, -2, -1]
+    assert s.proof.check_refutation(s.labeled_refutation([1, 4, 2, 3]))
+
+
 def test_inconsistent_assumptions_rejected():
     s = Solver()
     s.add_clause([1, 2])
@@ -588,7 +603,7 @@ def _reduced_run(monkeypatch, f, assumption_sets):
             break
         else:
             want = {-a for a in out.conflict_assumptions}
-            assert set(s.proof.clause_of(out.refutation)) <= want
+            assert set(s.proof.clause_of(out.refutation)) == want
             assert s.proof.check_refutation(s.labeled_refutation(assumptions))
         _assert_nothing_refers_to_deleted_clauses(s)
     for ci in range(n_inputs, len(s.clauses)):
@@ -751,6 +766,11 @@ def test_random_add_solve_interleavings_match_brute_force(ops):
             assert expect is None
             core = out.conflict_assumptions
             assert set(core) <= set(arg)
+            # The falsified assumption first, then the assumption decisions
+            # met walking the trail backward, latest first.
+            pos = [arg.index(a) for a in core]
+            assert pos[0] == max(pos)
+            assert pos[1:] == sorted(pos[1:], reverse=True)
             core_units = tuple((a,) for a in core)
             assert naive_brute_force(Formula(tuple(clauses) + core_units, 8)) is None
             assert s.proof.check_refutation(s.labeled_refutation(arg))
