@@ -4,9 +4,11 @@
 The formula is split into two partitions that overlap on a few variables.
 Each round proposes a total model over the shared variables, asks every
 partition to extend it, and refines the global formula G with an
-interpolant from each partition that refuses.  Watching the trace shows G
-growing until either some proposal extends everywhere (SAT) or G itself
-becomes contradictory (UNSAT).
+interpolant for each core of the proposal that a refusing partition
+yields: the one its search finds, then any further disjoint ones that
+propagation alone finds in the rest of the proposal.  Each core prints a
+"refused" line.  Watching the trace shows G growing until either some
+proposal extends everywhere (SAT) or G itself becomes contradictory (UNSAT).
 """
 
 from lazysat import Formula, Round, decompose_lazy, normalize_clause, reconcile
@@ -35,8 +37,9 @@ def show(event):
         print(f"round {event.index}: G has {g_size} clauses and proposes {model}")
     else:  # an Interpolant
         g_size += len(event.g_clauses)
+        core = " ".join(f"x{abs(l)}={'T' if l > 0 else 'F'}" for l in event.core)
         print(
-            f"  partition {event.partition} refused: interpolant of"
+            f"  partition {event.partition} refused {core}: interpolant of"
             f" {event.rbc.dag_size(event.ref)} circuit nodes over vars"
             f" {sorted(event.rbc.vars(event.ref))}, {len(event.g_clauses)} clauses into G"
         )

@@ -23,6 +23,7 @@ import csv
 import io
 import sys
 import time
+from collections import Counter
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -142,9 +143,13 @@ def cmd_solve(args) -> int:
             print(f"error: --dump-itp: {exc}", file=sys.stderr)
             return 1
 
+        cores = Counter()  # interpolants so far per (round, partition)
+
         def dump_itp(event):
             if isinstance(event, Interpolant):
-                path = dump_dir / f"itp_r{event.round}_p{event.partition}.dot"
+                key = (event.round, event.partition)
+                path = dump_dir / f"itp_r{event.round}_p{event.partition}_{cores[key]}.dot"
+                cores[key] += 1
                 path.write_text(event.rbc.to_dot(event.ref))
 
     record, result = run_one(
@@ -154,6 +159,7 @@ def cmd_solve(args) -> int:
     if args.stats:
         print(f"c rounds {result.stats.rounds}")
         print(f"c g_clauses {result.stats.g_clause_count}")
+        print(f"c refusals {result.stats.refusals}")
         print(f"c interpolants {result.stats.interpolants}")
         print(f"c peak_itp_nodes {result.stats.peak_itp_nodes}")
         print(f"c seconds {record.seconds}")

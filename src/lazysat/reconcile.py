@@ -9,6 +9,17 @@ refutation and the assumption core it rests on, and conjoin the
 interpolant to G.  A round with no refusals assembles and verifies a full
 model; G becoming unsatisfiable proves the input unsatisfiable.
 
+A refusing partition is then probed for further cores of m without a
+search (disjoint cores, as core-guided MaxSAT takes them): the literals of
+its cores so far are dropped from the assumptions, and the rest are placed
+again with unit propagation alone.  An assumption that comes out false
+gives a new core, disjoint from the earlier ones, whose refutation derives
+its negated clause from the partition's clauses alone; it is interpolated
+and conjoined to G like the first.  Probing stops when the rest places
+with nothing false or propagation conflicts, which learns nothing.  Each
+probe drops at least one assumption, so it ends.  Several cores in one
+round save G the rounds that would have proposed each in turn.
+
 A partition whose clauses alone are contradictory refutes the input
 itself: its interpolant could only be false, so the run ends there with
 UNSAT and that partition's own refutation, whose leaves are input clauses
@@ -21,9 +32,10 @@ partition's clauses, it is the partition's model for the round and the
 partition is not asked.  Its input clauses suffice for that check: every
 learnt clause follows from them, so a model of the inputs satisfies the
 learnts too.  A partition with no stored model, or whose copy falsifies
-one of its clauses, is solved under m.  Interpolants from all failing
-partitions of a round are conjoined before G is re-solved, in ascending
-partition order, and all solvers are incremental across rounds.
+one of its clauses, is solved under m; one that refuses keeps no model.
+Interpolants from all failing partitions of a round are conjoined before G
+is re-solved, in ascending partition order and then core order, and all
+solvers are incremental across rounds.
 Everything is deterministic unless a seeded random completion for
 unconstrained shared variables is requested.
 """
@@ -56,18 +68,20 @@ class Round:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """One interpolant conjoined to G.
+    """One interpolant conjoined to G, one per core of a refusal.
 
     ``root`` is the partition's refutation in ``proof`` it was read from,
     which derives the clause of the negated ``core`` from the partition's
     clauses alone; ``core`` holds the shared-model units the refusal rests
-    on, in conflict order.  ``g_clauses`` are the clauses it put into G:
-    the halves of Tseitin definitions, one per (node, polarity) in which its
-    root reaches a circuit node and no earlier interpolant of the run did,
-    followed by the unit asserting its root literal.  Nodes lowered before
-    keep their auxiliaries and the halves earlier events' clauses defined,
-    so an interpolant whose circuit is already in G in the polarities it
-    needs adds only its root unit.
+    on, in conflict order.  The cores of one (round, partition) are
+    pairwise disjoint: the first comes from the partition's search, each
+    later one from propagating the rest of m.  ``g_clauses`` are the
+    clauses it put into G: the halves of Tseitin definitions, one per
+    (node, polarity) in which its root reaches a circuit node and no
+    earlier interpolant of the run did, followed by the unit asserting its
+    root literal.  Nodes lowered before keep their auxiliaries and the
+    halves earlier events' clauses defined, so an interpolant whose circuit
+    is already in G in the polarities it needs adds only its root unit.
     """
 
     round: int
@@ -89,6 +103,7 @@ class ReconcileStats:
     g_clause_count: int = 0
     peak_itp_nodes: int = 0
     interpolants: int = 0
+    refusals: int = 0  # partition solves that refused m; each gives 1+ interpolants
 
 
 @dataclass
@@ -155,8 +170,9 @@ def reconcile(
     * ``Round(index, m)`` once per round in which G is satisfiable, after
       G's model has been read into the shared model m and before any
       partition is asked to extend it;
-    * ``Interpolant(...)`` for each partition that refuses m, after its
-      interpolant has been conjoined to G, in ascending partition order.
+    * ``Interpolant(...)`` for each core of m that a refusing partition
+      yields, after its interpolant has been conjoined to G, in ascending
+      partition order and then core order.
 
     A run that ends on G's refutation, on a self-refuting partition or on
     an exhausted budget emits nothing more.
@@ -242,19 +258,26 @@ def reconcile(
                 return refuted(part_solver.proof, out.refutation)
             extensions.pop(i, None)
             any_failed = True
-            proof, root = part_solver.proof, out.refutation
-            core = out.conflict_assumptions
-            ref = interpolant_from_proof(proof, root, core, system, rbc)
-            stats.interpolants += 1
-            stats.peak_itp_nodes = max(stats.peak_itp_nodes, rbc.dag_size(ref))
-            lowered, root_lit = rbc.to_cnf_tseitin(ref, fresh)
-            lowered.append((root_lit,))
-            for c in lowered:
-                g.add_clause(c, LABEL_A)
-            stats.g_clause_count += len(lowered)
-            if on_event is not None:
-                lowered = tuple(lowered)
-                on_event(Interpolant(round_idx, i, ref, rbc, proof, root, core, lowered))
+            stats.refusals += 1
+            proof = part_solver.proof
+            while out is not None:
+                root, core = out.refutation, out.conflict_assumptions
+                ref = interpolant_from_proof(proof, root, core, system, rbc)
+                stats.interpolants += 1
+                stats.peak_itp_nodes = max(stats.peak_itp_nodes, rbc.dag_size(ref))
+                lowered, root_lit = rbc.to_cnf_tseitin(ref, fresh)
+                lowered.append((root_lit,))
+                for c in lowered:
+                    g.add_clause(c, LABEL_A)
+                stats.g_clause_count += len(lowered)
+                if on_event is not None:
+                    lowered = tuple(lowered)
+                    on_event(Interpolant(round_idx, i, ref, rbc, proof, root, core, lowered))
+                # The rest of m may hold a further core, disjoint from this
+                # one; propagation alone finds it or stops.
+                dropped = set(core)
+                assumptions = [a for a in assumptions if a not in dropped]
+                out = part_solver.propagate_assumptions(assumptions)
         if not any_failed:
             model = assemble_model(m, extensions, decomposition, f_vars)
             if not eval_formula(f, model):

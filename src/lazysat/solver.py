@@ -46,6 +46,10 @@ the reason of a falsified assumption except that assumption's negation, whose
 decisions left over are the assumptions responsible.  The walk pops a heap
 keyed on trail position, so its cost follows the literals resolved, not the
 length of the trail.
+
+``propagate_assumptions`` places assumptions by the same step as ``solve``,
+one decision level each, but with unit propagation alone, so a caller can
+look for a further core without a search and without learning anything.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .cnf import Lit, is_tautology, normalize_clause
 from .proof import LABEL_A, LABEL_B, ProofStore
@@ -560,6 +565,67 @@ class Solver:
         self._reduce_gap += _REDUCE_INC
         self._next_reduce = self.n_conflicts + self._reduce_gap
 
+    def _take_assumptions(self, assumptions) -> list[Lit]:
+        """Check an assumption list, activate its variables and return to
+        level 0, where placing it starts."""
+        assumptions = list(assumptions)
+        aset = set(assumptions)
+        if 0 in aset or not aset.isdisjoint(map(neg, aset)):
+            raise ValueError(f"inconsistent assumption list {assumptions}")
+        active = self._active
+        for l in assumptions:
+            v = l if l > 0 else -l
+            if v > self._cap or not active[v]:
+                self._activate(v)
+        self._backtrack(0)
+        return assumptions
+
+    def _next_assumption(self, assumptions: list[Lit]) -> Lit | UnsatUnderAssumptions:
+        """Open one decision level per assumption: an empty one for each that
+        is already true, up to the first that is not.  Returns that one,
+        unassigned, for the caller to decide; the core of its refusal when it
+        is false; or 0 once every assumption has its level."""
+        trail_lim = self.trail_lim
+        while len(trail_lim) < len(assumptions):
+            a = assumptions[len(trail_lim)]
+            va = self._vals[self._cap + a]
+            if va > 0:
+                trail_lim.append(len(self.trail))  # already true: dummy level
+            elif va < 0:
+                return self._analyze_final(a)
+            else:
+                return a
+        return 0
+
+    def propagate_assumptions(self, assumptions) -> UnsatUnderAssumptions | None:
+        """Place the assumptions as ``solve`` does, one decision level each,
+        but with unit propagation alone: no decision of its own, no search,
+        no learning.  Returns the refusal of the first assumption that comes
+        out false, with its core and refutation in ``solve``'s shape, or None
+        when every assumption places or a propagation conflict stops it.
+
+        Starts and ends at level 0.  ``n_conflicts``, ``clauses``, the
+        level-0 trail and the branching order stay as they were; the proof
+        store gains only the resolvents of a returned refutation.
+        """
+        if self.unsat_node is not None:
+            return None
+        assumptions = self._take_assumptions(assumptions)
+        out = None
+        while True:
+            a = self._next_assumption(assumptions)
+            if isinstance(a, UnsatUnderAssumptions):
+                out = a
+                break
+            if a == 0:
+                break
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(a, -1)
+            if self._propagate() >= 0:
+                break
+        self._backtrack(0)
+        return out
+
     def solve(self, assumptions=(), deadline: float | None = None) -> SolveOutcome:
         """Decide the clause database under the given assumption literals.
 
@@ -574,13 +640,7 @@ class Solver:
         if self.unsat_node is not None:
             self._last = Unsat(self.unsat_node)
             return self._last
-        assumptions = list(assumptions)
-        aset = set(assumptions)
-        if 0 in aset or any(-l in aset for l in aset):
-            raise ValueError(f"inconsistent assumption list {assumptions}")
-        for l in assumptions:
-            self._activate(abs(l))
-        self._backtrack(0)
+        assumptions = self._take_assumptions(assumptions)
         reducing = self._next_reduce is not None
         if reducing and self.n_conflicts >= self._next_reduce:
             self._reduce_learnts()
@@ -621,19 +681,12 @@ class Solver:
                         self._reduce_learnts()
                 continue
             next_lit = 0
-            while len(self.trail_lim) < len(assumptions):
-                a = assumptions[len(self.trail_lim)]
-                va = self._vals[self._cap + a]
-                if va > 0:
-                    self.trail_lim.append(len(self.trail))  # already true: dummy level
-                elif va < 0:
-                    out = self._analyze_final(a)
+            if len(self.trail_lim) < len(assumptions):
+                next_lit = self._next_assumption(assumptions)
+                if isinstance(next_lit, UnsatUnderAssumptions):
                     self._backtrack(0)
-                    self._last = out
-                    return out
-                else:
-                    next_lit = a
-                    break
+                    self._last = next_lit
+                    return next_lit
             if next_lit == 0:
                 if len(self.trail) == n_active:
                     model = self._snapshot_model()

@@ -315,6 +315,20 @@ def test_dump_itp_writes_one_dot_file_per_interpolant(tmp_path, capsys):
     interpolants = int(re.search(r"^c interpolants (\d+)$", out, re.M).group(1))
     names = sorted(p.name for p in dump_dir.iterdir())
     assert interpolants >= 2 and len(names) == interpolants
+    cores = {}  # (round, partition) -> that refusal's core indices
     for name in names:
-        assert re.fullmatch(r"itp_r\d+_p[01]\.dot", name), name
+        match = re.fullmatch(r"itp_r(\d+)_p([01])_(\d+)\.dot", name)
+        assert match, name
+        cores.setdefault(match.group(1, 2), []).append(int(match.group(3)))
         assert (dump_dir / name).read_text().startswith("digraph")
+    # j counts each partition's cores in a round from 0
+    assert all(sorted(js) == list(range(len(js))) for js in cores.values())
+
+
+def test_stats_count_refusals_and_the_interpolants_they_give(tmp_path, capsys):
+    path = _write(tmp_path, "php.cnf", write_dimacs(pigeonhole(4, 3)))
+    assert main(["solve", path, "-k", "2", "--stats"]) == 20
+    out = capsys.readouterr().out
+    refusals = int(re.search(r"^c refusals (\d+)$", out, re.M).group(1))
+    interpolants = int(re.search(r"^c interpolants (\d+)$", out, re.M).group(1))
+    assert 1 <= refusals <= interpolants

@@ -175,6 +175,53 @@ def test_round_count_bounded_by_shared_model_space():
             assert r.stats.rounds <= 2 ** len(d.shared_vars) + 1
 
 
+def test_cores_of_one_refusal_are_disjoint_parts_of_m():
+    # A refusing partition yields every further core that propagation finds
+    # in the rest of m: each core is part of m, and the cores of one
+    # (round, partition) are pairwise disjoint, emitted in partition order.
+    rng = random.Random(131)
+    cases = [(pigeonhole(7, 6), 10, ItpSystem.MCMILLAN), (pigeonhole(7, 6), 10, ItpSystem.HKP)]
+    for _ in range(10):
+        n = rng.randint(10, 20)
+        cases.append((random_3cnf(rng, n, round(4.26 * n)), rng.choice((2, 3)), ItpSystem.MCMILLAN))
+    several = 0
+    for f, k, system in cases:
+        events = []
+        r = reconcile(f, k, system, on_event=events.append)
+        assert r.verdict in ("SAT", "UNSAT")
+        cores: dict[tuple[int, int], list[tuple]] = {}
+        m_lits = set()
+        last_partition = -1
+        for e in events:
+            if isinstance(e, Round):
+                m_lits = {v if b else -v for v, b in e.m.items()}
+                last_partition = -1
+                continue
+            assert e.partition >= last_partition
+            last_partition = e.partition
+            assert set(e.core) <= m_lits
+            cores.setdefault((e.round, e.partition), []).append(e.core)
+        assert sum(map(len, cores.values())) == r.stats.interpolants
+        assert len(cores) == r.stats.refusals
+        for group in cores.values():
+            lits = [l for core in group for l in core]
+            assert len(lits) == len(set(lits))
+            several += len(group) > 1
+    assert several >= 5
+
+
+def test_no_interpolant_at_k1():
+    # One partition has no shared variables, so no assumptions to refuse.
+    rng = random.Random(137)
+    for f in [pigeonhole(5, 4), pigeonhole(4, 4)] + [
+        random_3cnf(rng, 12, 51) for _ in range(6)
+    ]:
+        events = []
+        r = reconcile(f, 1, on_event=events.append)
+        assert not any(isinstance(e, Interpolant) for e in events)
+        assert (r.stats.rounds, r.stats.refusals, r.stats.interpolants) == (1, 0, 0)
+
+
 def test_resources_exhausted_rounds():
     f = Formula(((1, 2), (-1,), (-2,)), 2)
     r = reconcile(f, 2, max_rounds=1)
@@ -241,13 +288,13 @@ _FINGERPRINTS = [
     ("php6-k1", pigeonhole(6, 5), 1, ItpSystem.MCMILLAN,
      ("UNSAT", 1, 0, 0, 0, (139,), 0, (1393,))),
     ("php7-k10-mcmillan", pigeonhole(7, 6), 10, ItpSystem.MCMILLAN,
-     ("UNSAT", 99, 320, 134, 873, (0,) * 10, 18099,
-      (27, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
+     ("UNSAT", 97, 298, 133, 532, (0,) * 10, 9038,
+      (21, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
     ("php7-k10-hkp", pigeonhole(7, 6), 10, ItpSystem.HKP,
-     ("UNSAT", 95, 320, 134, 800, (0,) * 10, 17748,
-      (27, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
+     ("UNSAT", 98, 298, 133, 432, (0,) * 10, 7644,
+      (21, 13, 13, 14, 13, 13, 14, 13, 13, 14))),
     ("rand3-n20-seed4-k2", random_3cnf(random.Random(4), 20, 85), 2, ItpSystem.MCMILLAN,
-     ("UNSAT", 50, 326, 85, 37, (9, 3), 773, (119, 132))),
+     ("UNSAT", 40, 451, 114, 41, (8, 4), 897, (132, 166))),
 ]
 
 
@@ -280,7 +327,7 @@ def test_g_keeps_every_learnt_clause_and_partitions_reduce(monkeypatch):
     g = made[0]
     assert r.verdict == "UNSAT" and r.g_proof.check_refutation(r.g_refutation)
     # G's search is the fingerprint's, reductions due or not
-    assert (g.n_conflicts, len(g.proof)) == (873, 18099)
+    assert (g.n_conflicts, len(g.proof)) == (532, 9038)
     assert None not in g.clauses and not g._lbd
 
     del made[:]

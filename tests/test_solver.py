@@ -23,6 +23,7 @@ from tests.helpers import (
     naive_brute_force,
     on_learnt,
     pigeonhole,
+    random_3cnf,
     random_formula,
 )
 
@@ -111,6 +112,102 @@ def test_refusal_core_is_the_falsified_assumption_then_decisions_latest_first():
     # 7 and the level-0 literal 5 are resolved out; the idle decision 4 is not met
     assert sorted(s.proof.clause_of(out.refutation)) == [-3, -2, -1]
     assert s.proof.check_refutation(s.labeled_refutation([1, 4, 2, 3]))
+
+
+def test_propagate_assumptions_places_them_without_a_search():
+    s = Solver()
+    s.add_clause([5])
+    s.add_clause([-1, -5, 7])
+    s.add_clause([-7, -2, -3])
+    s.add_clause([-6, 8])
+    s.add_clause([-6, -8])
+    # 5 is true at level 0, so it takes an empty level; the core is solve's
+    out = s.propagate_assumptions([5, 1, 4, 2, 3])
+    assert out.conflict_assumptions == (3, 2, 1)
+    assert sorted(s.proof.clause_of(out.refutation)) == [-3, -2, -1]
+    assert s.propagate_assumptions([1, 4, 3]) is None  # 3 implies -2, nothing false
+    # 6 conflicts under propagation: it stops there and learns nothing,
+    # where a search would learn -6 and refuse 6
+    assert s.propagate_assumptions([6, 3, 2]) is None
+    assert s.n_conflicts == 0 and len(s.clauses) == 5
+    assert s.solve([6, 3, 2]).conflict_assumptions == (6,)
+
+
+def _propagate_in_order(clauses, assumptions):
+    """Reference for Solver.propagate_assumptions: set each assumption in
+    turn and close under unit propagation.  Returns the first assumption
+    found false, "conflict", or None when all are placed."""
+    val = {}
+
+    def closes():
+        changed = True
+        while changed:
+            changed = False
+            for c in clauses:
+                if any(val.get(abs(l)) == (l > 0) for l in c):
+                    continue
+                free = [l for l in c if abs(l) not in val]
+                if not free:
+                    return False
+                if len(free) == 1:
+                    val[abs(free[0])] = free[0] > 0
+                    changed = True
+        return True
+
+    if not closes():  # level 0 itself
+        return "conflict"
+    for a in assumptions:
+        if val.get(abs(a)) == (a < 0):
+            return a
+        val[abs(a)] = a > 0
+        if not closes():
+            return "conflict"
+    return None
+
+
+def test_propagate_assumptions_matches_unit_propagation_and_keeps_the_solver():
+    rng = random.Random(127)
+    seen = {"core": 0, "conflict": 0, "placed": 0}
+    for _ in range(60):
+        n = rng.randint(8, 16)
+        f = random_3cnf(rng, n, rng.randint(3 * n, 5 * n))
+        s = Solver()
+        for c in f.clauses:
+            s.add_clause(c)
+        for _ in range(8):
+            vs = rng.sample(range(1, n + 1), rng.randint(1, n // 2))
+            arg = [v if rng.random() < 0.5 else -v for v in vs]
+            arg += rng.sample(arg, rng.randint(0, min(2, len(arg))))  # repeats: empty levels
+            live = [c for c in s.clauses if c is not None]
+            want = _propagate_in_order(live, arg)
+            state = (s.n_conflicts, len(s.clauses), list(s.trail), list(s._heap),
+                     list(s._activity))
+            proof_len = len(s.proof)
+            out = s.propagate_assumptions(arg)
+            assert (s.n_conflicts, len(s.clauses), list(s.trail), list(s._heap),
+                    list(s._activity)) == state
+            assert not s.trail_lim
+            if out is None:
+                assert want in ("conflict", None)
+                assert len(s.proof) == proof_len
+                seen["conflict" if want else "placed"] += 1
+            else:
+                seen["core"] += 1
+                core = out.conflict_assumptions
+                assert set(core) <= set(arg) and core[0] == want
+                # the falsified assumption, then earlier ones latest first
+                pos = [arg.index(a) for a in core]
+                assert pos[1:] == sorted(pos[1:], reverse=True) and max(pos[1:], default=-1) < pos[0]
+                negated = frozenset(-a for a in core)
+                assert _recompute_clause(s.proof, out.refutation) == negated
+                leaves = s.proof.reachable_inputs(out.refutation)
+                assert all(s.proof.node(i)[2] == LABEL_A for i in leaves)
+                # only the refutation's own resolvents were appended
+                assert len(s.proof) == proof_len or out.refutation == len(s.proof) - 1
+                assert isinstance(s.solve(arg), UnsatUnderAssumptions)
+            if rng.random() < 0.5:  # vary the learnt clauses and level 0
+                s.solve(rng.sample(arg, rng.randint(0, len(arg))))
+    assert min(seen.values()) >= 10, seen
 
 
 def test_inconsistent_assumptions_rejected():
