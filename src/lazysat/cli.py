@@ -159,10 +159,13 @@ def cmd_solve(args) -> int:
     if args.stats:
         print(f"c rounds {result.stats.rounds}")
         print(f"c g_clauses {result.stats.g_clause_count}")
+        print(f"c partition_solves {result.stats.partition_solves}")
         print(f"c refusals {result.stats.refusals}")
         print(f"c interpolants {result.stats.interpolants}")
         print(f"c peak_itp_nodes {result.stats.peak_itp_nodes}")
         print(f"c seconds {record.seconds}")
+        if result.exhausted is not None:
+            print(f"c exhausted {result.exhausted}")
     if result.verdict == "SAT":
         model = result.model
         print("s SATISFIABLE")

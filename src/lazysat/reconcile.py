@@ -26,13 +26,16 @@ UNSAT and that partition's own refutation, whose leaves are input clauses
 of f, is the certificate.  No interpolant is built and G is not solved
 again.  At k=1 every UNSAT verdict is reached this way, in round 1.
 
-Each partition keeps its model from its last Sat call.  A round first
-writes m's values into a copy of that model; if the copy satisfies the
-partition's clauses, it is the partition's model for the round and the
-partition is not asked.  Its input clauses suffice for that check: every
+Each partition has a candidate model in every round: m on its shared
+variables plus the private values of its last Sat model, all false before
+the first.  A refusal keeps them, since it says nothing against them.  A
+partition is solved under m only when its candidate falsifies one of its
+clauses; otherwise the candidate is its model for the round.  The check is
+skipped while the partition's shared values are those under which its
+candidate last passed.  Its input clauses suffice for the check: every
 learnt clause follows from them, so a model of the inputs satisfies the
-learnts too.  A partition with no stored model, or whose copy falsifies
-one of its clauses, is solved under m; one that refuses keeps no model.
+learnts too.  A partition with no private variable is thus solved only
+when m falsifies it, and then it refuses.
 Interpolants from all failing partitions of a round are conjoined before G
 is re-solved, in ascending partition order and then core order, and all
 solvers are incremental across rounds.
@@ -104,6 +107,7 @@ class ReconcileStats:
     peak_itp_nodes: int = 0
     interpolants: int = 0
     refusals: int = 0  # partition solves that refused m; each gives 1+ interpolants
+    partition_solves: int = 0  # partition solve calls; probes for further cores not counted
 
 
 @dataclass
@@ -208,11 +212,18 @@ def reconcile(
         sorted(part.vars & decomposition.shared_vars)
         for part in decomposition.partitions
     ]
+    part_private = [
+        sorted(part.vars - decomposition.shared_vars)
+        for part in decomposition.partitions
+    ]
     rng = random.Random(completion_seed) if completion_seed is not None else None
-    # A partition's model from its last Sat call, carried from round to round
-    # with m written in while it still satisfies the partition's clauses;
-    # dropped when the partition refuses.
-    extensions: dict[int, dict[int, bool]] = {}
+    # A partition's candidate model is m on its shared variables plus the
+    # true literals of its private ones in ``private``, from its last Sat
+    # model and all false before the first.  ``passed`` holds the shared
+    # assumptions under which its candidate last satisfied its clauses; a
+    # refusal changes neither.
+    private = [{-v for v in vs} for vs in part_private]
+    passed: list[list[Lit] | None] = [None] * len(parts)
 
     for round_idx in range(max_rounds):
         stats.rounds = round_idx + 1
@@ -236,27 +247,29 @@ def reconcile(
 
         any_failed = False
         for i, part_solver in enumerate(parts):
-            if i in extensions:
-                ext = {**extensions[i], **{v: m[v] for v in part_shared[i]}}
-                true_lits = {v if b else -v for v, b in ext.items()}
-                if not any(map(true_lits.isdisjoint, decomposition.partitions[i].clauses)):
-                    extensions[i] = ext
-                    continue
+            assumptions = [v if m[v] else -v for v in part_shared[i]]
+            if assumptions == passed[i]:
+                continue
+            true_lits = private[i].union(assumptions)
+            if not any(map(true_lits.isdisjoint, decomposition.partitions[i].clauses)):
+                passed[i] = assumptions
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 return exhausted("time")
-            assumptions = [v if m[v] else -v for v in part_shared[i]]
+            stats.partition_solves += 1
             try:
                 out = part_solver.solve(assumptions, deadline=deadline)
             except BudgetExceeded:
                 return exhausted("time")
             if isinstance(out, Sat):
-                extensions[i] = out.model
+                model = out.model
+                private[i] = {v if model[v] else -v for v in part_private[i]}
+                passed[i] = assumptions
                 continue
             if isinstance(out, Unsat):
                 # The partition's clauses alone are contradictory: its own
                 # refutation, over input clauses of f only, decides the run.
                 return refuted(part_solver.proof, out.refutation)
-            extensions.pop(i, None)
             any_failed = True
             stats.refusals += 1
             proof = part_solver.proof
@@ -279,6 +292,9 @@ def reconcile(
                 assumptions = [a for a in assumptions if a not in dropped]
                 out = part_solver.propagate_assumptions(assumptions)
         if not any_failed:
+            extensions = {
+                i: {**m, **{abs(l): l > 0 for l in lits}} for i, lits in enumerate(private)
+            }
             model = assemble_model(m, extensions, decomposition, f_vars)
             if not eval_formula(f, model):
                 raise RuntimeError("internal: assembled model fails the input formula")

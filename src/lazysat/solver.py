@@ -47,9 +47,15 @@ decisions left over are the assumptions responsible.  The walk pops a heap
 keyed on trail position, so its cost follows the literals resolved, not the
 length of the trail.
 
-``propagate_assumptions`` places assumptions by the same step as ``solve``,
-one decision level each, but with unit propagation alone, so a caller can
-look for a further core without a search and without learning anything.
+One placement loop serves ``solve`` and ``propagate_assumptions``: it opens
+one decision level per assumption, an empty one for an assumption already
+true, and calls ``_propagate`` only when the placed literal's negation
+watches a clause or something else is pending on the trail; otherwise it
+advances ``qhead``, which is all that call would do.  The trail, reasons
+and levels are those of propagating after every assumption.
+``propagate_assumptions`` places assumptions with unit propagation alone,
+so a caller can look for a further core without a search and without
+learning anything.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import neg
 
-from .cnf import Lit, is_tautology, normalize_clause
+from .cnf import Lit, normalize_clause
 from .proof import LABEL_A, LABEL_B, ProofStore
 
 SENTINEL = -1  # returned by add_clause for ignored clauses
@@ -201,16 +207,22 @@ class Solver:
         norm = normalize_clause(lits)
         if norm and norm[0] == 0:
             raise ValueError(f"literal 0 in clause {norm}")
-        if is_tautology(norm):
+        if len(set(map(abs, norm))) != len(norm):  # normalized, so x and -x: a tautology
             return SENTINEL
+        active = self._active
         for l in norm:
-            self._activate(abs(l))
+            v = l if l > 0 else -l
+            if v > self._cap or not active[v]:
+                self._activate(v)
         node = self.proof._append_input(norm, label)  # checked just above
         ci = len(self.clauses)
         off = self._cap
         vals = self._vals
         nonfalse = [l for l in norm if vals[off + l] >= 0]
-        ordered = nonfalse + [l for l in norm if vals[off + l] < 0]
+        if len(nonfalse) == len(norm):
+            ordered = nonfalse
+        else:
+            ordered = nonfalse + [l for l in norm if vals[off + l] < 0]
         self.clauses.append(ordered)
         self.clause_node.append(node)
         if not norm:
@@ -580,22 +592,43 @@ class Solver:
         self._backtrack(0)
         return assumptions
 
-    def _next_assumption(self, assumptions: list[Lit]) -> Lit | UnsatUnderAssumptions:
-        """Open one decision level per assumption: an empty one for each that
-        is already true, up to the first that is not.  Returns that one,
-        unassigned, for the caller to decide; the core of its refusal when it
-        is false; or 0 once every assumption has its level."""
+    def _place_assumptions(self, assumptions: list[Lit]) -> int | UnsatUnderAssumptions:
+        """Open one decision level per assumption not yet placed, an empty
+        one for each already true, and propagate each new one when that can
+        imply anything (see the module docstring).  Returns -1 once every
+        assumption has its level, the index of a clause that propagation
+        falsified, or the core of an assumption that comes out false."""
+        trail = self.trail
         trail_lim = self.trail_lim
-        while len(trail_lim) < len(assumptions):
-            a = assumptions[len(trail_lim)]
-            va = self._vals[self._cap + a]
-            if va > 0:
-                trail_lim.append(len(self.trail))  # already true: dummy level
-            elif va < 0:
+        vals = self._vals
+        off = self._cap
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        tpos = self._tpos
+        while (dl := len(trail_lim)) < len(assumptions):
+            a = assumptions[dl]
+            va = vals[off + a]
+            if va < 0:
                 return self._analyze_final(a)
+            pos = len(trail)
+            trail_lim.append(pos)
+            if va:
+                continue  # already true: an empty level
+            v = a if a > 0 else -a
+            vals[off + a] = 1
+            vals[off - a] = -1
+            level[v] = dl + 1
+            reason[v] = -1
+            tpos[v] = pos
+            trail.append(a)
+            if watches[off - a] or self.qhead != pos:
+                confl = self._propagate()
+                if confl >= 0:
+                    return confl
             else:
-                return a
-        return 0
+                self.qhead = pos + 1
+        return -1
 
     def propagate_assumptions(self, assumptions) -> UnsatUnderAssumptions | None:
         """Place the assumptions as ``solve`` does, one decision level each,
@@ -610,21 +643,9 @@ class Solver:
         """
         if self.unsat_node is not None:
             return None
-        assumptions = self._take_assumptions(assumptions)
-        out = None
-        while True:
-            a = self._next_assumption(assumptions)
-            if isinstance(a, UnsatUnderAssumptions):
-                out = a
-                break
-            if a == 0:
-                break
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(a, -1)
-            if self._propagate() >= 0:
-                break
+        out = self._place_assumptions(self._take_assumptions(assumptions))
         self._backtrack(0)
-        return out
+        return out if isinstance(out, UnsatUnderAssumptions) else None
 
     def solve(self, assumptions=(), deadline: float | None = None) -> SolveOutcome:
         """Decide the clause database under the given assumption literals.
@@ -652,6 +673,12 @@ class Solver:
         n_active = len(self._active_list)
         while True:
             confl = self._propagate()
+            if confl < 0 and len(self.trail_lim) < len(assumptions):
+                confl = self._place_assumptions(assumptions)
+                if isinstance(confl, UnsatUnderAssumptions):
+                    self._backtrack(0)
+                    self._last = confl
+                    return confl
             if confl >= 0:
                 self.n_conflicts += 1
                 conflicts_here += 1
@@ -680,31 +707,18 @@ class Solver:
                     if reducing and self.n_conflicts >= self._next_reduce:
                         self._reduce_learnts()
                 continue
-            next_lit = 0
-            if len(self.trail_lim) < len(assumptions):
-                next_lit = self._next_assumption(assumptions)
-                if isinstance(next_lit, UnsatUnderAssumptions):
-                    self._backtrack(0)
-                    self._last = next_lit
-                    return next_lit
-            if next_lit == 0:
-                if len(self.trail) == n_active:
-                    model = self._snapshot_model()
-                    self._verify_model(model)
-                    self._backtrack(0)
-                    self._last = Sat(model)
-                    return self._last
-                decisions += 1
-                if (
-                    deadline is not None
-                    and not decisions & 511
-                    and time.monotonic() > deadline
-                ):
-                    self._backtrack(0)
-                    raise BudgetExceeded
-                next_lit = -self._pick_branch_var()  # default polarity false
+            if len(self.trail) == n_active:
+                model = self._snapshot_model()
+                self._verify_model(model)
+                self._backtrack(0)
+                self._last = Sat(model)
+                return self._last
+            decisions += 1
+            if deadline is not None and not decisions & 511 and time.monotonic() > deadline:
+                self._backtrack(0)
+                raise BudgetExceeded
             self.trail_lim.append(len(self.trail))
-            self._enqueue(next_lit, -1)
+            self._enqueue(-self._pick_branch_var(), -1)  # default polarity false
 
     def _snapshot_model(self) -> dict[int, bool]:
         off = self._cap

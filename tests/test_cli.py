@@ -332,3 +332,26 @@ def test_stats_count_refusals_and_the_interpolants_they_give(tmp_path, capsys):
     refusals = int(re.search(r"^c refusals (\d+)$", out, re.M).group(1))
     interpolants = int(re.search(r"^c interpolants (\d+)$", out, re.M).group(1))
     assert 1 <= refusals <= interpolants
+    # every refusal is a partition solve; a partition is solved only when
+    # the round's shared model fails it, and not every failure refuses
+    solves = int(re.search(r"^c partition_solves (\d+)$", out, re.M).group(1))
+    assert refusals <= solves
+    assert "c exhausted" not in out  # a verdict, not a spent budget
+
+
+def test_stats_say_which_budget_an_unknown_run_exhausted(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "php.cnf", write_dimacs(pigeonhole(8, 7)))
+    assert main(["solve", path, "-k", "4", "--timeout", "0", "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^c exhausted time$", out, re.M) and "s UNKNOWN" in out
+    assert re.search(r"^c partition_solves \d+$", out, re.M)
+
+    import lazysat.cli as cli
+
+    real = cli.reconcile
+    monkeypatch.setattr(cli, "reconcile", lambda *a, **kw: real(*a, max_rounds=1, **kw))
+    assert main(["solve", path, "-k", "4", "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^c exhausted rounds$", out, re.M) and "s UNKNOWN" in out
+    assert re.search(r"^c rounds 1$", out, re.M)
+    assert re.search(r"^c partition_solves [1-4]$", out, re.M)  # at most each partition once

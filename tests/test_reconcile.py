@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 
@@ -317,6 +318,37 @@ def test_search_fingerprints_are_unchanged(monkeypatch, f, k, system, expect):
     ) == expect
 
 
+# A digest of the event stream of each fingerprint run: every Interpolant's
+# (round, partition, core, g_clauses), in order.  It moves when the cores
+# a refusal gives, or the order G receives them in, move, even where the
+# counts above stay.
+_EVENT_DIGESTS = {
+    "php6-k1": "e3b0c44298fc1c14",
+    "php7-k10-mcmillan": "675ad8b0531aa813",
+    "php7-k10-hkp": "51c60e6130fa40e5",
+    "rand3-n20-seed4-k2": "c7bc1cab9116844d",
+}
+
+
+def _event_digest(f, k, system) -> str:
+    events = []
+    reconcile(f, k, system, on_event=events.append)
+    h = hashlib.sha256()
+    for e in events:
+        if isinstance(e, Interpolant):
+            h.update(repr((e.round, e.partition, e.core, e.g_clauses)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "f,k,system,name",
+    [(*fp[1:4], fp[0]) for fp in _FINGERPRINTS],
+    ids=[fp[0] for fp in _FINGERPRINTS],
+)
+def test_interpolant_event_stream_is_unchanged(f, k, system, name):
+    assert _event_digest(f, k, system) == _EVENT_DIGESTS[name]
+
+
 def test_g_keeps_every_learnt_clause_and_partitions_reduce(monkeypatch):
     import lazysat.solver as solver_mod
 
@@ -416,10 +448,12 @@ def _satisfies(model, clauses):
     return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
 
 
-def test_partition_is_not_asked_again_with_the_assumptions_it_answered(monkeypatch):
-    # A partition is asked in a round exactly when it has no stored model or
-    # its stored model, with the round's m written in, falsifies one of its
-    # clauses; a partition that is not asked keeps that copy as its model.
+def test_partition_is_asked_exactly_when_its_candidate_fails(monkeypatch):
+    # A partition's candidate model is the round's m on its shared variables
+    # plus the private values of its last Sat model, all false before the
+    # first; a refusal keeps them.  A partition is asked in a round exactly
+    # when its candidate falsifies one of its clauses, in partition order,
+    # and never again with assumptions it answered.
     rng = random.Random(113)
     cases = [(pigeonhole(7, 6), 10, ItpSystem.MCMILLAN, False),
              (pigeonhole(6, 5), 4, ItpSystem.HKP, False)]
@@ -428,72 +462,97 @@ def test_partition_is_not_asked_again_with_the_assumptions_it_answered(monkeypat
         f = random_3cnf(rng, n, rng.randint(3 * n, 5 * n))
         k = min(rng.choice((2, 3, 5)), len(f.clauses))
         cases.append((f, k, rng.choice(list(ItpSystem)), brute_force(f) is not None))
+    asked = skipped = 0
     for f, k, system, sat in cases:
         log = _log_partition_calls(monkeypatch)
         r = reconcile(f, k, system, on_event=lambda e: isinstance(e, Round) and log.append(e))
         monkeypatch.undo()
         assert r.verdict == ("SAT" if sat else "UNSAT")
-        partitions = decompose_lazy(f, k).partitions
-        stored: dict[int, dict[int, bool]] = {}
-        last = {}
+        assert r.stats.partition_solves == sum(not isinstance(e, Round) for e in log)
+        d = decompose_lazy(f, k)
+        private = [dict.fromkeys(part.vars - d.shared_vars, False) for part in d.partitions]
+        answered = set()
         for pos, entry in enumerate(log):
             if not isinstance(entry, Round):
                 continue
+            m = entry.m
             expect = []
-            for i, part in enumerate(partitions):
-                copy = stored.get(i)
-                if copy is not None:
-                    copy = {**copy, **{v: b for v, b in entry.m.items() if v in part.vars}}
-                    if _satisfies(copy, part.clauses):
-                        stored[i] = copy
-                        continue
-                expect.append(i)
+            for i, part in enumerate(d.partitions):
+                if _satisfies({**private[i], **m}, part.clauses):
+                    skipped += 1
+                else:
+                    expect.append((i, tuple(v if m[v] else -v for v in sorted(part.vars & d.shared_vars))))
             calls = []
             for call in log[pos + 1 :]:
                 if isinstance(call, Round):
                     break
                 calls.append(call)
-            assert [c[0] for c in calls] == expect[: len(calls)], (f, k, system)
+            assert [c[:2] for c in calls] == expect, (f, k, system, entry.index)
             for i, assumptions, out in calls:
-                answered = isinstance(out, Sat)
-                assert last.get(i) != (assumptions, True), (f, k, system, i)
-                last[i] = (assumptions, answered)
-                if answered:
-                    stored[i] = out.model
-                else:
-                    stored.pop(i, None)
-        if sat:  # the final round asked every partition it had to
-            assert len(calls) == len(expect)
-            assert all(r.model[v] == b for model in stored.values() for v, b in model.items())
+                asked += 1
+                assert (i, assumptions) not in answered
+                if isinstance(out, Sat):
+                    answered.add((i, assumptions))
+                    private[i] = {v: out.model[v] for v in private[i]}
+        if sat:  # the model is every partition's candidate in the last round
+            for ext in private:
+                assert all(r.model[v] == b for v, b in ext.items())
+            assert all(r.model[v] == b for v, b in m.items())
+    assert asked and skipped
 
 
-def test_partition_whose_copy_satisfies_its_clauses_is_not_asked(monkeypatch):
+def test_partition_whose_candidate_satisfies_its_clauses_is_not_asked(monkeypatch):
     # Partition 1 refuses m = {1: F} and G then proposes m = {1: T}.  With 1
-    # written in, partition 0's stored model {1: F, 3: T, 4: T} still
-    # satisfies (1 3) and (-3 4), so partition 0 is not asked again, and its
-    # stored values of 3 and 4 reach the model: a new search under 1 would
-    # have set both false.
+    # written in, partition 0's candidate {1: T, 3: T, 4: T} from its Sat
+    # model still satisfies (1 3) and (-3 4), and partition 1's candidate
+    # {1: T, 5: F}, whose private 5 it kept through its refusal, satisfies
+    # (1 5) and (1 -5): neither is asked again, and their private values
+    # reach the model.  A new search under 1 would have set 3 and 4 false.
     f = Formula(((1, 3), (-3, 4), (1, 5), (1, -5)), 5)
     log = _log_partition_calls(monkeypatch)
     r = reconcile(f, 2)
     assert r.verdict == "SAT" and r.stats.rounds == 2
     assert [(i, a, isinstance(out, Sat)) for i, a, out in log] == [
-        (0, (-1,), True), (1, (-1,), False), (1, (1,), True)
+        (0, (-1,), True), (1, (-1,), False)
     ]
+    assert r.stats.partition_solves == 2
     assert r.model == {1: True, 3: True, 4: True, 5: False}
 
 
-def test_partition_whose_copy_falsifies_a_clause_is_asked(monkeypatch):
-    # As above, but partition 0's stored model {1: F, 3: T}, with 1 written
-    # in, falsifies (-1 -3): partition 0 is solved under m = {1: T}.
+def test_partition_whose_candidate_falsifies_a_clause_is_asked(monkeypatch):
+    # As above, but partition 0's candidate {1: T, 3: T} falsifies (-1 -3):
+    # partition 0 is solved under m = {1: T}, and partition 1 still is not.
     f = Formula(((1, 3), (-1, -3), (1, 5), (1, -5)), 5)
     log = _log_partition_calls(monkeypatch)
     r = reconcile(f, 2)
     assert r.verdict == "SAT" and r.stats.rounds == 2
     assert [(i, a, isinstance(out, Sat)) for i, a, out in log] == [
-        (0, (-1,), True), (1, (-1,), False), (0, (1,), True), (1, (1,), True)
+        (0, (-1,), True), (1, (-1,), False), (0, (1,), True)
     ]
+    assert r.stats.partition_solves == 3
     assert r.model == {1: True, 3: False, 5: False}
+
+
+def test_partition_without_private_variables_is_asked_only_when_m_falsifies_it(monkeypatch):
+    # Partition 0, (-1 -2), has only shared variables: its candidate is m
+    # itself, which satisfies it in both rounds, so it is never solved.
+    f = Formula(((-1, -2), (1, 3), (2, -3)), 3)
+    log = _log_partition_calls(monkeypatch)
+    r = reconcile(f, 2)
+    assert r.verdict == "SAT" and r.stats.rounds == 2
+    assert [(i, a, isinstance(out, Sat)) for i, a, out in log] == [
+        (1, (-1, -2), False), (1, (-1, 2), True)
+    ]
+    assert r.model == {1: False, 2: True, 3: True}
+    # Here every variable is shared: the all-false m of round 1 falsifies
+    # both partitions, which refuse it, and round 2's m satisfies both.
+    f = Formula(((-1, -2), (1, 3), (2, -3), (1, 2)), 3)
+    log = _log_partition_calls(monkeypatch)
+    r = reconcile(f, 2)
+    assert r.verdict == "SAT" and r.stats.rounds == 2
+    assert [(i, a, isinstance(out, Sat)) for i, a, out in log] == [
+        (0, (-1, -2, -3), False), (1, (-1, -2, -3), False)
+    ]
 
 
 def _interpolant_events(f, k, system):

@@ -210,6 +210,96 @@ def test_propagate_assumptions_matches_unit_propagation_and_keeps_the_solver():
     assert min(seen.values()) >= 10, seen
 
 
+def _place_by_steps(s, assumptions):
+    """Reference for Solver._place_assumptions: open one level per
+    assumption, an empty one for each already true, and call ``_propagate``
+    after each literal placed."""
+    while len(s.trail_lim) < len(assumptions):
+        a = assumptions[len(s.trail_lim)]
+        va = s.value(a)
+        if va < 0:
+            return s._analyze_final(a)
+        s.trail_lim.append(len(s.trail))
+        if va == 0:
+            s._enqueue(a, -1)
+            confl = s._propagate()
+            if confl >= 0:
+                return confl
+    return -1
+
+
+def _placement_state(s):
+    vs = [abs(l) for l in s.trail]
+    return (list(s.trail), list(s.trail_lim), s.qhead, [s._level[v] for v in vs],
+            [s._reason[v] for v in vs], [s._tpos[v] for v in vs], s._watches)
+
+
+def test_placement_loop_matches_placing_and_propagating_one_at_a_time():
+    rng = random.Random(139)
+    seen = dict.fromkeys(("core", "conflict", "placed", "empty", "skipped", "pending"), 0)
+    for _ in range(50):
+        n = rng.randint(8, 16)
+        f = random_3cnf(rng, n, rng.randint(3 * n, 5 * n))
+        s, ref = Solver(), Solver()
+        for c in f.clauses:
+            s.add_clause(c)
+            ref.add_clause(c)
+        for step in range(6):
+            pending = step == 5  # last placement of this pair: one literal left pending
+            vs = rng.sample(range(1, n + 1), rng.randint(1, n // 2))
+            arg = [v if rng.random() < 0.5 else -v for v in vs]
+            arg += rng.sample(arg, rng.randint(0, min(2, len(arg))))  # repeats
+            arg += [l for l in s.trail[:2] if abs(l) not in vs]  # true at level 0
+            arg = s._take_assumptions(arg)
+            ref._take_assumptions(arg)
+            if pending:
+                free = [v for v in range(1, n + 1)
+                        if s._active[v] and not s.value(v) and v not in map(abs, arg)]
+                if not free:
+                    continue
+                u = rng.choice(free)
+                for x in (s, ref):
+                    x._enqueue(u, -1)  # on the trail, not yet propagated
+            calls = []
+            real = s._propagate
+
+            def propagate():
+                q0 = s.qhead
+                confl = real()
+                calls.append(range(q0, s.qhead))
+                return confl
+
+            s._propagate = propagate
+            q0 = s.qhead
+            out = s._place_assumptions(arg)
+            del s._propagate
+            want = _place_by_steps(ref, arg)
+            assert out == want
+            assert _placement_state(s) == _placement_state(ref)
+            # Every trail position from the start is handled once: by a
+            # _propagate call, or skipped as a placed assumption with nothing
+            # pending before it.
+            handled = [p for r in calls for p in r]
+            placed = {p for p in s.trail_lim if q0 <= p < s.qhead and s._reason[abs(s.trail[p])] < 0}
+            skipped = [p for p in placed if p not in handled]
+            assert sorted(handled + skipped) == list(range(q0, s.qhead))
+            for p in skipped:
+                assert not s._watches[s._cap - s.trail[p]]
+            seen["skipped"] += len(skipped)
+            seen["empty"] += sum(a == b for a, b in zip(s.trail_lim, s.trail_lim[1:]))
+            seen["pending"] += pending
+            if isinstance(out, UnsatUnderAssumptions):
+                seen["core"] += 1
+            else:
+                seen["conflict" if out >= 0 else "placed"] += 1
+            for x in (s, ref):
+                x._backtrack(0)
+            if not pending and rng.random() < 0.5:  # vary the learnt clauses and level 0
+                sample = rng.sample(arg, rng.randint(0, len(arg)))
+                assert s.solve(sample) == ref.solve(sample)
+    assert min(seen.values()) >= 10, seen
+
+
 def test_inconsistent_assumptions_rejected():
     s = Solver()
     s.add_clause([1, 2])
