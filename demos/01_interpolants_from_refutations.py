@@ -12,7 +12,6 @@ mention only shared variables; here all three systems find y.
 from itertools import product
 
 from lazysat import (
-    LABEL_A,
     ItpSystem,
     RbcStore,
     Solver,
@@ -23,8 +22,8 @@ from lazysat import (
 X, Y = 1, 2
 
 solver = Solver()
-solver.add_clause([X], LABEL_A)
-solver.add_clause([-X, Y], LABEL_A)
+solver.add_clause([X])
+solver.add_clause([-X, Y])
 
 out = solver.solve([-Y])
 assert isinstance(out, UnsatUnderAssumptions)

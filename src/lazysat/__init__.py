@@ -12,7 +12,7 @@ from .cnf import (
 )
 from .decomp import Decomposition, Partition, decompose_lazy
 from .itp import ItpSystem, interpolant_from_proof
-from .proof import LABEL_A, LABEL_B, ProofError, ProofStore
+from .proof import ProofError, ProofStore
 from .rbc import RbcRef, RbcStore
 from .reconcile import (
     Event,
@@ -42,8 +42,6 @@ __all__ = [
     "Formula",
     "Interpolant",
     "ItpSystem",
-    "LABEL_A",
-    "LABEL_B",
     "Lit",
     "Partition",
     "ProofError",

@@ -4,8 +4,8 @@ The loop interpolates (partition, m): the A side is the partition's
 clauses, the B side the cube of the shared model's units.  A refusal
 comes as a refutation under assumptions, which derives the clause of the
 negated conflict assumptions (the core) from A clauses alone.  Resolving
-that clause with the core's units would give the labeled refutation of
-(A, B); only those units are reached, so exactly the core's variables are
+that clause with the core's units would give a refutation of A and B;
+only those units are reached, so exactly the core's variables are
 shared and none is B-local.  Over that refutation each system reduces to a
 construction from (refutation, core):
 
@@ -57,8 +57,8 @@ def interpolant_from_proof(
 
     ``root`` and ``core`` are an UnsatUnderAssumptions outcome's
     ``refutation`` and ``conflict_assumptions``: root derives the clause of
-    the negated core from A-labeled inputs only.  Validity is the caller's
-    contract.  The result's variables are within the core's.
+    the negated core from the partition's input clauses only.  Validity is
+    the caller's contract.  The result's variables are within the core's.
     """
     if system is not ItpSystem.MCMILLAN:
         ref = FALSE

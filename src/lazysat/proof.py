@@ -1,10 +1,11 @@
 """Append-only resolution proof DAG shared by the solver and the interpolator.
 
-Nodes are either labeled input clauses (label A or B) or binary resolvents
-(left child holds the pivot positively, right child negatively).  Resolvent
-clauses are not stored, except those validated by add_resolvent; the others
-are recomputed on demand, and check_refutation always recomputes them from
-the children rather than trusting any cache.
+Nodes are either input clauses or binary resolvents (left child holds the
+pivot positively, right child negatively).  Resolvent clauses are not
+stored: they are recomputed on demand, and check_refutation recomputes them
+from the input clauses rather than trusting anything stored.  Nodes are
+appended without validation by their one caller, the solver, whose proofs
+check_refutation verifies.
 Node ids are dense and children always precede parents.
 """
 
@@ -13,9 +14,6 @@ from __future__ import annotations
 from array import array
 
 from .cnf import Clause, is_tautology, normalize_clause
-
-LABEL_A = "A"
-LABEL_B = "B"
 
 
 class ProofError(ValueError):
@@ -28,67 +26,30 @@ class ProofStore:
         self._left = array("i")
         self._right = array("i")
         self._pivot = array("i")
-        self._inputs: dict[int, tuple[Clause, str]] = {}
-        # Clauses of the resolvents add_resolvent validated, so that proofs
-        # built by hand are checked step by step in linear time.
-        # check_refutation never reads it.
-        self._clauses: dict[int, Clause] = {}
+        self._inputs: dict[int, Clause] = {}
 
     def __len__(self) -> int:
         return len(self._pivot)
 
-    def is_input(self, node_id: int) -> bool:
-        self._check_id(node_id)
-        return self._pivot[node_id] < 0
-
     def node(self, node_id: int):
-        """('I', clause, label) for inputs, ('R', left, right, pivot) otherwise."""
+        """('I', clause) for inputs, ('R', left, right, pivot) otherwise."""
         self._check_id(node_id)
         if self._pivot[node_id] < 0:
-            clause, label = self._inputs[node_id]
-            return ("I", clause, label)
+            return ("I", self._inputs[node_id])
         return ("R", self._left[node_id], self._right[node_id], self._pivot[node_id])
 
     def _check_id(self, node_id: int):
         if not 0 <= node_id < len(self._pivot):
             raise ProofError(f"dangling proof node id {node_id}")
 
-    def add_input(self, clause, label: str) -> int:
-        """Validating construction; use _append_input on trusted paths."""
-        norm = normalize_clause(clause)
-        if norm and norm[0] == 0:
-            raise ProofError(f"literal 0 in input clause {norm}")
-        if is_tautology(norm):
-            raise ProofError(f"tautological input clause {norm}")
-        return self._append_input(norm, label)
-
-    def _append_input(self, norm: Clause, label: str) -> int:
+    def _append_input(self, norm: Clause) -> int:
         """Store a clause the caller has already normalized and found free
-        of literal 0 and tautologies; only the label is checked here."""
-        if label not in (LABEL_A, LABEL_B):
-            raise ProofError(f"bad label {label!r}")
+        of literal 0 and tautologies."""
         node_id = len(self._pivot)
         self._left.append(-1)
         self._right.append(-1)
         self._pivot.append(-1)
-        self._inputs[node_id] = (norm, label)
-        return node_id
-
-    def add_resolvent(self, left: int, right: int, pivot: int) -> int:
-        """Validating construction; use _append_resolvent on trusted paths."""
-        if pivot < 1:
-            raise ProofError(f"pivot must be a variable index, got {pivot}")
-        lc = self.clause_of(left)
-        rc = self.clause_of(right)
-        if pivot not in lc:
-            raise ProofError(f"pivot {pivot} not positive in left clause {lc}")
-        if -pivot not in rc:
-            raise ProofError(f"pivot {pivot} not negative in right clause {rc}")
-        resolvent = frozenset(lc) - {pivot} | (frozenset(rc) - {-pivot})
-        if is_tautology(resolvent):
-            raise ProofError(f"tautological resolvent from {lc} and {rc} on {pivot}")
-        node_id = self._append_resolvent(left, right, pivot)
-        self._clauses[node_id] = normalize_clause(resolvent)
+        self._inputs[node_id] = norm
         return node_id
 
     def _append_resolvent(self, left: int, right: int, pivot: int) -> int:
@@ -101,15 +62,12 @@ class ProofStore:
         return node_id
 
     def clause_of(self, node_id: int) -> Clause:
-        """The clause a node derives: stored for inputs, cached for
-        resolvents built by add_resolvent, recomputed otherwise."""
+        """The clause a node derives: stored for inputs, recomputed from
+        them for resolvents."""
         self._check_id(node_id)
         if self._pivot[node_id] < 0:
-            return self._inputs[node_id][0]
-        cached = self._clauses.get(node_id)
-        if cached is None:
-            cached = normalize_clause(self._derive(self.reachable(node_id))[node_id])
-        return cached
+            return self._inputs[node_id]
+        return normalize_clause(self._derive(self.reachable(node_id))[node_id])
 
     def _derive(self, ids) -> dict[int, frozenset]:
         """The clause of every node in ``ids``, which must be ascending and
@@ -119,7 +77,7 @@ class ProofStore:
         for nid in ids:
             p = pivot[nid]
             if p < 0:
-                clauses[nid] = frozenset(inputs[nid][0])
+                clauses[nid] = frozenset(inputs[nid])
             else:
                 clauses[nid] = clauses[left[nid]] - {p} | (clauses[right[nid]] - {-p})
         return clauses
@@ -152,9 +110,6 @@ class ProofStore:
         reached.sort()
         return reached, uses
 
-    def reachable_inputs(self, root: int) -> list[int]:
-        return [i for i in self.reachable(root) if self._pivot[i] < 0]
-
     def check_refutation(self, root: int) -> bool:
         """True iff root derives the empty clause and every reachable
         resolvent is a genuine non-tautological resolution of its children.
@@ -171,7 +126,7 @@ class ProofStore:
         for nid in order:
             p = pivot[nid]
             if p < 0:
-                clauses[nid] = frozenset(inputs[nid][0])
+                clauses[nid] = frozenset(inputs[nid])
                 continue
             l, r = left[nid], right[nid]
             lc, rc = clauses[l], clauses[r]
@@ -191,7 +146,7 @@ class ProofStore:
 
     def dump(self, root: int | None = None) -> str:
         """Debug listing, one node per line:
-        ``<id> I <label> <lits> 0`` or ``<id> R <left> <right> <pivot> <lits> 0``.
+        ``<id> I <lits> 0`` or ``<id> R <left> <right> <pivot> <lits> 0``.
         """
         ids = self.reachable(root) if root is not None else range(len(self._pivot))
         clauses = self._derive(ids)
@@ -199,7 +154,7 @@ class ProofStore:
         for nid in ids:
             p = self._pivot[nid]
             if p < 0:
-                head = [str(nid), "I", self._inputs[nid][1]]
+                head = [str(nid), "I"]
             else:
                 head = [str(nid), "R", str(self._left[nid]), str(self._right[nid]), str(p)]
             lits = [str(l) for l in normalize_clause(clauses[nid])]

@@ -2,9 +2,9 @@
 
 The store keeps binary AND nodes with complement edges (AIG style), which is
 all the interpolation rules need: AND, OR via De Morgan, and negation as an
-O(1) edge flip.  A reference is ``node_id * 2 + negated``, so structurally
-equal constructions always return the identical integer, and recurring
-substructure across interpolants is shared.
+O(1) edge flip, ``ref ^ 1``.  A reference is ``node_id * 2 + negated``, so
+structurally equal constructions always return the identical integer, and
+recurring substructure across interpolants is shared.
 
 Constructor-level simplifications (and their OR duals via the encoding):
 And(x, true) = x, And(x, false) = false, And(x, x) = x, And(x, ~x) = false.
@@ -12,7 +12,6 @@ And(x, true) = x, And(x, false) = false, And(x, x) = x, And(x, ~x) = false.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterator, Mapping
 
 from .cnf import Clause, Lit
@@ -21,14 +20,6 @@ RbcRef = int
 
 TRUE = 0  # reference to the constant-true node
 FALSE = 1  # its complement edge
-
-
-def mk_not(ref: RbcRef) -> RbcRef:
-    return ref ^ 1
-
-
-def is_negated(ref: RbcRef) -> bool:
-    return bool(ref & 1)
 
 
 class RbcStore:
@@ -59,12 +50,6 @@ class RbcStore:
         if kind == "V":
             return ("V", self._a[node_id])
         return ("A", self._a[node_id], self._b[node_id])
-
-    def mk_true(self) -> RbcRef:
-        return TRUE
-
-    def mk_false(self) -> RbcRef:
-        return FALSE
 
     def mk_var(self, var: int) -> RbcRef:
         if var < 1:

@@ -52,9 +52,9 @@ from itertools import count
 from typing import Callable, Iterable
 
 from .cnf import Clause, Formula, Lit, eval_formula
-from .decomp import Decomposition, decompose_lazy
+from .decomp import decompose_lazy
 from .itp import ItpSystem, interpolant_from_proof
-from .proof import LABEL_A, ProofStore
+from .proof import ProofStore
 from .rbc import RbcRef, RbcStore
 from .solver import BudgetExceeded, Sat, Solver, Unsat
 
@@ -124,31 +124,19 @@ class ReconcileResult:
 
 
 def assemble_model(
-    m: dict[int, bool],
-    extensions: dict[int, dict[int, bool]],
-    decomposition: Decomposition,
-    variables: Iterable[int],
+    m: dict[int, bool], private: Iterable[Iterable[Lit]], variables: Iterable[int]
 ) -> dict[int, bool]:
-    """Merge the shared model with each partition's private extension.
+    """Merge the shared model m with each partition's true literals over its
+    private variables, one collection of them per partition in ``private``.
 
-    Extensions must agree with m on shared variables (the assumption
-    mechanism guarantees it; disagreement means a bug, not an input error).
     The model covers ``variables``, the variables occurring in the input;
     those in no partition, which occur only in tautological clauses, are
     false.
     """
     model = dict.fromkeys(variables, False)
     model.update(m)
-    for i, ext in extensions.items():
-        part = decomposition.partitions[i]
-        for v in part.vars:
-            if v in m:
-                if ext[v] != m[v]:
-                    raise RuntimeError(
-                        f"internal: partition {i} extension disagrees on shared var {v}"
-                    )
-            else:
-                model[v] = ext[v]
+    for lits in private:
+        model.update((abs(l), l > 0) for l in lits)
     return model
 
 
@@ -201,7 +189,7 @@ def reconcile(
     for part in decomposition.partitions:
         s = Solver()
         for c in part.clauses:
-            s.add_clause(c, LABEL_A)
+            s.add_clause(c)
         parts.append(s)
     # Auxiliaries follow the largest variable in use, not the header's count,
     # so a header that overstates it does not size G's arrays.
@@ -281,7 +269,7 @@ def reconcile(
                 lowered, root_lit = rbc.to_cnf_tseitin(ref, fresh)
                 lowered.append((root_lit,))
                 for c in lowered:
-                    g.add_clause(c, LABEL_A)
+                    g.add_clause(c)
                 stats.g_clause_count += len(lowered)
                 if on_event is not None:
                     lowered = tuple(lowered)
@@ -292,10 +280,7 @@ def reconcile(
                 assumptions = [a for a in assumptions if a not in dropped]
                 out = part_solver.propagate_assumptions(assumptions)
         if not any_failed:
-            extensions = {
-                i: {**m, **{abs(l): l > 0 for l in lits}} for i, lits in enumerate(private)
-            }
-            model = assemble_model(m, extensions, decomposition, f_vars)
+            model = assemble_model(m, private, f_vars)
             if not eval_formula(f, model):
                 raise RuntimeError("internal: assembled model fails the input formula")
             return ReconcileResult("SAT", model, stats)

@@ -23,9 +23,9 @@ Design notes, fixed for reproducibility:
   ``clauses`` becomes None, so clause indices stay stable.  Its proof node
   stays in the append-only store, so every proof stays valid across
   incremental calls;
-* every learnt clause carries a proof chain built only from clause nodes
-  (label A), never from assumption literals, which is what keeps learnt
-  clauses sound premises under any future assumptions;
+* every learnt clause carries a proof chain built only from clause nodes,
+  never from assumption literals, which is what keeps learnt clauses sound
+  premises under any future assumptions;
 * every Sat answer comes from a search and is checked against all
   clauses, inputs and the learnts not deleted, before it is returned;
 * the value array stores an assignment made at decision level 0 as +-2 and
@@ -66,7 +66,7 @@ from heapq import heapify, heappop, heappush
 from operator import neg
 
 from .cnf import Lit, normalize_clause
-from .proof import LABEL_A, LABEL_B, ProofStore
+from .proof import ProofStore
 
 SENTINEL = -1  # returned by add_clause for ignored clauses
 
@@ -179,13 +179,6 @@ class Solver:
             self._in_heap[var] = 1
             heappush(self._heap, (-self._activity[var], var))
 
-    def value(self, lit: Lit) -> int:
-        """1 if lit is true, -1 if false, 0 if unassigned."""
-        if abs(lit) > self._cap:
-            return 0
-        val = self._vals[self._cap + lit]
-        return (val > 0) - (val < 0)
-
     @property
     def num_vars(self) -> int:
         return len(self._active_list)
@@ -193,7 +186,7 @@ class Solver:
     # ------------------------------------------------------------------
     # clause input
 
-    def add_clause(self, lits, label: str = LABEL_A) -> int:
+    def add_clause(self, lits) -> int:
         """Register a clause (at decision level 0) and propagate its units.
 
         Tautologies are ignored; adding to an already-refuted solver is a
@@ -214,7 +207,7 @@ class Solver:
             v = l if l > 0 else -l
             if v > self._cap or not active[v]:
                 self._activate(v)
-        node = self.proof._append_input(norm, label)  # checked just above
+        node = self.proof._append_input(norm)  # checked just above
         ci = len(self.clauses)
         off = self._cap
         vals = self._vals
@@ -736,12 +729,13 @@ class Solver:
             raise RuntimeError(f"internal: model fails clause {sorted(falsified)}")
 
     # ------------------------------------------------------------------
-    # labeled refutations: a refusal as a proof over A clauses and B units
+    # a refusal as a refutation of its clauses and its core's units
 
     def labeled_refutation(self, b_units) -> int:
-        """Extend the last unsatisfiable outcome to an empty-clause proof in
-        which the B-labeled leaves are unit clauses over ``b_units`` and all
-        other leaves are this solver's A-labeled inputs.
+        """Extend the last unsatisfiable outcome to an empty-clause proof
+        whose leaves are this solver's inputs and, appended as new inputs,
+        unit clauses over ``b_units``.  The loop does not call it;
+        perfbench's tracer wraps it by name.
 
         The refutation under assumptions derives the clause of the negated
         conflict assumptions, so resolving it with each assumption's unit
@@ -757,7 +751,7 @@ class Solver:
         proof = self.proof
         node = last.refutation
         for a in last.conflict_assumptions:
-            unit = proof._append_input((a,), LABEL_B)
+            unit = proof._append_input((a,))
             if a > 0:
                 node = proof._append_resolvent(unit, node, a)
             else:

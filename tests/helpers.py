@@ -12,8 +12,9 @@ import random
 
 from hypothesis import strategies as st
 
-from lazysat import LABEL_A, LABEL_B, Formula, ItpSystem, ProofStore, normalize_clause
-from lazysat.rbc import RbcRef, RbcStore, mk_not
+from lazysat import Formula, ItpSystem, ProofError, ProofStore, normalize_clause
+from lazysat.cnf import Clause, is_tautology
+from lazysat.rbc import FALSE, TRUE, RbcRef, RbcStore
 
 # ---------------------------------------------------------------------------
 # instance generators
@@ -156,18 +157,73 @@ def rbc_table(store: RbcStore, ref: int, full: int, tables: dict[int, int]) -> i
     return ref_table(ref)
 
 
+def value(solver, lit) -> int:
+    """1 if lit is true in the solver's assignment, -1 if false, 0 if
+    unassigned."""
+    if abs(lit) > solver._cap:
+        return 0
+    val = solver._vals[solver._cap + lit]
+    return (val > 0) - (val < 0)
+
+
 def on_learnt(monkeypatch, solver, hook) -> None:
-    """Call hook(learnt literals, solver.value) for every clause the solver
-    learns, at learn time: after conflict analysis, before the backjump, so
-    the trail is still the one that falsified the clause."""
+    """Call hook(learnt literals, value of a literal) for every clause the
+    solver learns, at learn time: after conflict analysis, before the
+    backjump, so the trail is still the one that falsified the clause."""
     analyze = solver._analyze
 
     def analyze_and_observe(confl):
         out = analyze(confl)
-        hook(tuple(out[0]), solver.value)
+        hook(tuple(out[0]), lambda lit: value(solver, lit))
         return out
 
     monkeypatch.setattr(solver, "_analyze", analyze_and_observe)
+
+
+# ---------------------------------------------------------------------------
+# proofs built by hand, and the leaves of stored ones
+
+
+class HandBuiltProof(ProofStore):
+    """A proof store for proofs written out by hand.  Each step is validated,
+    then appended through the store's unvalidated appenders, and its clause
+    kept, so that a resolvent is checked against its premises alone."""
+
+    def __init__(self):
+        super().__init__()
+        self._derived: dict[int, Clause] = {}
+
+    def add_input(self, clause) -> int:
+        norm = normalize_clause(clause)
+        if norm and norm[0] == 0:
+            raise ProofError(f"literal 0 in input clause {norm}")
+        if is_tautology(norm):
+            raise ProofError(f"tautological input clause {norm}")
+        node_id = self._append_input(norm)
+        self._derived[node_id] = norm
+        return node_id
+
+    def add_resolvent(self, left: int, right: int, pivot: int) -> int:
+        if pivot < 1:
+            raise ProofError(f"pivot must be a variable index, got {pivot}")
+        if left not in self._derived or right not in self._derived:
+            raise ProofError("resolvent children must already exist")
+        lc, rc = self._derived[left], self._derived[right]
+        if pivot not in lc:
+            raise ProofError(f"pivot {pivot} not positive in left clause {lc}")
+        if -pivot not in rc:
+            raise ProofError(f"pivot {pivot} not negative in right clause {rc}")
+        resolvent = frozenset(lc) - {pivot} | (frozenset(rc) - {-pivot})
+        if is_tautology(resolvent):
+            raise ProofError(f"tautological resolvent from {lc} and {rc} on {pivot}")
+        node_id = self._append_resolvent(left, right, pivot)
+        self._derived[node_id] = normalize_clause(resolvent)
+        return node_id
+
+
+def input_leaves(proof: ProofStore, root: int) -> list[int]:
+    """The input nodes reachable from root, ascending."""
+    return [nid for nid in proof.reachable(root) if proof.node(nid)[0] == "I"]
 
 
 def check_interpolant(rec) -> list[str]:
@@ -176,7 +232,7 @@ def check_interpolant(rec) -> list[str]:
     variables common to both sides.  The A side is the input clauses of the
     refutation it was read from, the B side the units of its core.  Returns
     human-readable violations."""
-    a_leaves = [rec.proof.node(leaf)[1] for leaf in rec.proof.reachable_inputs(rec.root)]
+    a_leaves = [rec.proof.node(leaf)[1] for leaf in input_leaves(rec.proof, rec.root)]
     b_leaves = [(a,) for a in rec.core]
     va = {abs(l) for c in a_leaves for l in c}
     vb = {abs(l) for c in b_leaves for l in c}
@@ -201,10 +257,11 @@ def check_interpolant(rec) -> list[str]:
 # lazysat.itp, which reads the same interpolants off a refutation under
 # assumptions and its core
 #
-# Writing V_A / V_B for the variables of the refutation's A- and B-labeled
-# input leaves, each variable is A-local, shared or B-local, and an
-# intermediate interpolant is attached to every proof node in one bottom-up
-# pass:
+# A labeled refutation is a refutation in a proof store together with the
+# set of its input leaves on the B side; every other leaf is on the A side.
+# Writing V_A / V_B for the variables of the A- and B-side input leaves,
+# each variable is A-local, shared or B-local, and an intermediate
+# interpolant is attached to every proof node in one bottom-up pass:
 #
 # McMillan: A clause, the disjunction of its shared literals; B clause,
 #   true.  Resolution on an A-local pivot joins with OR, otherwise with AND.
@@ -216,15 +273,16 @@ def check_interpolant(rec) -> list[str]:
 A_LOCAL, SHARED, B_LOCAL = 0, 1, 2
 
 
-def var_classes(store: ProofStore, root: int) -> dict[int, int]:
+def var_classes(store: ProofStore, root: int, b_ids) -> dict[int, int]:
     """Classify every variable of the refutation reachable from root, from
-    the reachable input leaves only."""
-    return _leaf_classes(store, store.reachable(root))[0]
+    the reachable input leaves only; those in ``b_ids`` are on the B side."""
+    return _leaf_classes(store, store.reachable(root), b_ids)[0]
 
 
-def _leaf_classes(store: ProofStore, nodes) -> tuple[dict[int, int], bool]:
-    """Classes of the variables of the input leaves among ``nodes``, and
-    whether any of those leaves is A-labeled."""
+def _leaf_classes(store: ProofStore, nodes, b_ids) -> tuple[dict[int, int], bool]:
+    """Classes of the variables of the input leaves among ``nodes``, those
+    in ``b_ids`` on the B side, and whether any of those leaves is on the A
+    side."""
     va: set[int] = set()
     vb: set[int] = set()
     has_a = False
@@ -232,11 +290,11 @@ def _leaf_classes(store: ProofStore, nodes) -> tuple[dict[int, int], bool]:
         node = store.node(nid)
         if node[0] != "I":
             continue
-        if node[2] == LABEL_A:
+        if nid in b_ids:
+            vb.update(abs(l) for l in node[1])
+        else:
             has_a = True
             va.update(abs(l) for l in node[1])
-        else:
-            vb.update(abs(l) for l in node[1])
     classes = {}
     for v in va | vb:
         if v in va and v in vb:
@@ -249,23 +307,22 @@ def _leaf_classes(store: ProofStore, nodes) -> tuple[dict[int, int], bool]:
 
 
 def _shared_disjunction(clause, classes, rbc: RbcStore) -> RbcRef:
-    ref = rbc.mk_false()
+    ref = FALSE
     for l in clause:
         if classes[abs(l)] == SHARED:
             ref = rbc.mk_or(ref, rbc.mk_lit(l))
     return ref
 
 
-def initial_interpolant(clause, label: str, system: ItpSystem, classes, rbc) -> RbcRef:
-    """The intermediate interpolant attached to an input clause."""
+def initial_interpolant(clause, in_b: bool, system: ItpSystem, classes, rbc) -> RbcRef:
+    """The intermediate interpolant attached to an input clause, on the B
+    side when ``in_b``."""
     if system is ItpSystem.MCMILLAN:
-        if label == LABEL_A:
-            return _shared_disjunction(clause, classes, rbc)
-        return rbc.mk_true()
+        return TRUE if in_b else _shared_disjunction(clause, classes, rbc)
     if system is ItpSystem.HKP:
-        return rbc.mk_false() if label == LABEL_A else rbc.mk_true()
-    if label == LABEL_A:  # dual McMillan: McMillan with A and B swapped
-        return rbc.mk_true()
+        return TRUE if in_b else FALSE
+    if not in_b:  # dual McMillan: McMillan with A and B swapped
+        return TRUE
     return _shared_disjunction(clause, classes, rbc)
 
 
@@ -282,27 +339,28 @@ def resolve_interpolant(system, pivot_class, pivot, i_left, i_right, rbc) -> Rbc
         if pivot_class == B_LOCAL:
             return rbc.mk_and(i_left, i_right)
         x = rbc.mk_var(pivot)
-        return rbc.mk_and(rbc.mk_or(x, i_left), rbc.mk_or(mk_not(x), i_right))
+        return rbc.mk_and(rbc.mk_or(x, i_left), rbc.mk_or(x ^ 1, i_right))
     if pivot_class == B_LOCAL:  # dual McMillan: OR exactly on B-local pivots
         return rbc.mk_or(i_left, i_right)
     return rbc.mk_and(i_left, i_right)
 
 
 def reference_interpolant(
-    store: ProofStore, root: int, system: ItpSystem, rbc: RbcStore
+    store: ProofStore, root: int, b_ids, system: ItpSystem, rbc: RbcStore
 ) -> RbcRef:
     """Interpolant of the labeled refutation rooted at the empty clause
-    ``root``, by one memoized pass over its reachable nodes.  Raises
-    ValueError when no reachable leaf is A-labeled."""
+    ``root`` whose B-side leaves are ``b_ids``, by one memoized pass over
+    its reachable nodes.  Raises ValueError when no reachable leaf is on
+    the A side."""
     reachable = store.reachable(root)
-    classes, has_a = _leaf_classes(store, reachable)
+    classes, has_a = _leaf_classes(store, reachable, b_ids)
     if not has_a:
-        raise ValueError("refutation has no A-labeled inputs to interpolate against")
+        raise ValueError("refutation has no A-side inputs to interpolate against")
     memo: dict[int, RbcRef] = {}
     for nid in reachable:
         node = store.node(nid)
         if node[0] == "I":
-            memo[nid] = initial_interpolant(node[1], node[2], system, classes, rbc)
+            memo[nid] = initial_interpolant(node[1], nid in b_ids, system, classes, rbc)
         else:
             _, left, right, pivot = node
             memo[nid] = resolve_interpolant(
@@ -310,32 +368,37 @@ def reference_interpolant(
             )
     result = memo[root]
     if system is ItpSystem.DUAL_MCMILLAN:
-        result = mk_not(result)
+        result ^= 1
     return result
 
 
-def labeled_refutation(proof: ProofStore, root: int, core) -> tuple[ProofStore, int]:
+def labeled_refutation(
+    proof: ProofStore, root: int, core
+) -> tuple[ProofStore, int, set[int]]:
     """The labeled refutation of (A, core units) in a new store: the subproof
     under ``root``, which derives the negated core from A leaves, copied,
-    then resolved with one B-labeled unit per core literal in core order,
-    as Solver.labeled_refutation does."""
-    out = ProofStore()
+    then resolved with one B-side unit per core literal in core order, as
+    Solver.labeled_refutation does.  Returns the store, its root and the
+    ids of the units."""
+    out = HandBuiltProof()
     remap = {}
     for nid in proof.reachable(root):
         node = proof.node(nid)
         if node[0] == "I":
-            remap[nid] = out.add_input(node[1], node[2])
+            remap[nid] = out.add_input(node[1])
         else:
             _, left, right, pivot = node
             remap[nid] = out.add_resolvent(remap[left], remap[right], pivot)
     node = remap[root]
+    b_ids = set()
     for a in core:
-        unit = out.add_input((a,), LABEL_B)
+        unit = out.add_input((a,))
+        b_ids.add(unit)
         if a > 0:
             node = out.add_resolvent(unit, node, a)
         else:
             node = out.add_resolvent(node, unit, -a)
-    return out, node
+    return out, node, b_ids
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +507,6 @@ def definition_halves(clauses) -> list[tuple[int, bool]]:
 
 def random_circuit(store: RbcStore, rng: random.Random, n_vars: int, depth: int):
     """Build a random circuit in the store plus a parallel shadow AST."""
-    from lazysat.rbc import FALSE, TRUE, mk_not
-
     if depth == 0 or rng.random() < 0.3:
         v = rng.randint(1, n_vars)
         return store.mk_var(v), ("var", v)
@@ -454,7 +515,7 @@ def random_circuit(store: RbcStore, rng: random.Random, n_vars: int, depth: int)
         return (TRUE, ("true",)) if rng.random() < 0.5 else (FALSE, ("false",))
     if op == "not":
         r, sh = random_circuit(store, rng, n_vars, depth - 1)
-        return mk_not(r), ("not", sh)
+        return r ^ 1, ("not", sh)
     a, sa = random_circuit(store, rng, n_vars, depth - 1)
     b, sb = random_circuit(store, rng, n_vars, depth - 1)
     if op == "and":

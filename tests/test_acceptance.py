@@ -156,13 +156,13 @@ def test_criterion_2_interpolant_contract(corpus_runs):
 
 
 def test_criterion_3_worked_example_fixture():
-    from lazysat import LABEL_A, UnsatUnderAssumptions, interpolant_from_proof
+    from lazysat import UnsatUnderAssumptions, interpolant_from_proof
 
     failures = []
     for system in ItpSystem:
         s = Solver()
-        s.add_clause([1], LABEL_A)
-        s.add_clause([-1, 2], LABEL_A)
+        s.add_clause([1])
+        s.add_clause([-1, 2])
         out = s.solve([-2])
         assert isinstance(out, UnsatUnderAssumptions)
         rbc = RbcStore()

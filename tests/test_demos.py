@@ -1,7 +1,4 @@
-"""The narrative demos run against the current API.
-
-demos/03 is left out: its pigeonhole sweep at k=1 takes seconds.
-"""
+"""The narrative demos run against the current API."""
 
 import os
 import subprocess
@@ -18,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("01_interpolants_from_refutations.py", "circuit store holds"),
         ("02_reconciliation_walkthrough.py", "verdict: UNSAT after"),
+        ("03_pigeonhole_sweep.py", "For CSV output"),
     ],
 )
 def test_demo_runs(name, expect):

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 import tests.helpers as helpers
 from lazysat import (
-    LABEL_A,
-    LABEL_B,
     Interpolant,
     ItpSystem,
-    ProofStore,
     RbcRef,
     RbcStore,
     Sat,
@@ -20,13 +17,16 @@ from lazysat import (
     interpolant_from_proof,
     reconcile,
 )
-from lazysat.rbc import FALSE, mk_not
+from lazysat.rbc import FALSE, TRUE
+from lazysat.solver import SENTINEL
 from tests.helpers import (
     A_LOCAL,
     B_LOCAL,
     SHARED,
+    HandBuiltProof,
     cnf_table,
     initial_interpolant,
+    input_leaves,
     labeled_refutation,
     make_tables,
     pigeonhole,
@@ -45,8 +45,8 @@ from tests.helpers import (
 def _worked_example_refusal():
     """A = {x}, {~x v y} refuses the cube {~y}."""
     s = Solver()
-    s.add_clause([1], LABEL_A)
-    s.add_clause([-1, 2], LABEL_A)
+    s.add_clause([1])
+    s.add_clause([-1, 2])
     out = s.solve([-2])
     assert isinstance(out, UnsatUnderAssumptions)
     return s, out
@@ -78,9 +78,9 @@ def _same_as_reference(proof, root, core, system, rbc) -> RbcRef:
     circuit on the labeled refutation of (A, core units), which resolves the
     units in ascending variable order; return it."""
     got = interpolant_from_proof(proof, root, core, system, rbc)
-    labeled, lroot = labeled_refutation(proof, root, sorted(core, key=abs))
+    labeled, lroot, b_ids = labeled_refutation(proof, root, sorted(core, key=abs))
     assert labeled.check_refutation(lroot)
-    assert reference_interpolant(labeled, lroot, system, rbc) == got
+    assert reference_interpolant(labeled, lroot, b_ids, system, rbc) == got
     return got
 
 
@@ -100,7 +100,7 @@ def test_direct_construction_is_the_labeled_refutations_interpolant(case):
     clauses, assumed = case
     s = Solver()
     for c in clauses:
-        s.add_clause(c, LABEL_A)
+        s.add_clause(c)
     cube = [v if b else -v for v, b in assumed.items()]
     out = s.solve(cube)
     if not isinstance(out, UnsatUnderAssumptions):
@@ -141,66 +141,65 @@ def test_every_interpolant_of_a_run_is_the_reference_one(f, k, system):
 
 
 def _worked_example_proof():
-    """A = {x}, {~x v y}; B = {~y}; resolve to {y} then to the empty clause."""
-    store = ProofStore()
-    a1 = store.add_input((1,), LABEL_A)
-    a2 = store.add_input((-1, 2), LABEL_A)
-    b1 = store.add_input((-2,), LABEL_B)
+    """A = {x}, {~x v y}; B = {~y}; resolve to {y} then to the empty clause.
+    Returns the store, the root and the B leaf's id."""
+    store = HandBuiltProof()
+    a1 = store.add_input((1,))
+    a2 = store.add_input((-1, 2))
+    b1 = store.add_input((-2,))
     y = store.add_resolvent(a1, a2, 1)
     root = store.add_resolvent(y, b1, 2)
     assert store.check_refutation(root)
-    return store, root
+    return store, root, {b1}
 
 
 @pytest.mark.parametrize("system", list(ItpSystem))
 def test_worked_example_equivalent_to_y(system):
-    store, root = _worked_example_proof()
+    store, root, b_ids = _worked_example_proof()
     rbc = RbcStore()
-    ref = reference_interpolant(store, root, system, rbc)
+    ref = reference_interpolant(store, root, b_ids, system, rbc)
     for x, y in itertools.product([False, True], repeat=2):
         assert rbc.evaluate(ref, {1: x, 2: y}) == y
     assert rbc.vars(ref) <= {2}
 
 
 def test_degenerate_a_only_refutation_is_false():
-    store = ProofStore()
-    a1 = store.add_input((1,), LABEL_A)
-    a2 = store.add_input((-1,), LABEL_A)
+    store = HandBuiltProof()
+    a1 = store.add_input((1,))
+    a2 = store.add_input((-1,))
     root = store.add_resolvent(a1, a2, 1)
     rbc = RbcStore()
     for system in ItpSystem:
-        assert reference_interpolant(store, root, system, rbc) == FALSE
+        assert reference_interpolant(store, root, set(), system, rbc) == FALSE
 
 
 def test_var_classes_computed_from_reachable_leaves_only():
-    store, root = _worked_example_proof()
-    store.add_input((3, -4), LABEL_A)  # unreachable noise
-    classes = var_classes(store, root)
+    store, root, b_ids = _worked_example_proof()
+    store.add_input((3, -4))  # unreachable noise
+    classes = var_classes(store, root, b_ids)
     assert classes == {1: A_LOCAL, 2: SHARED}
 
 
 def test_initial_interpolant_rules():
     rbc = RbcStore()
     classes = {1: A_LOCAL, 2: SHARED}
+    in_a, in_b = False, True
     # McMillan keeps exactly the shared literals of an A clause
-    ref = initial_interpolant((1, -2), LABEL_A, ItpSystem.MCMILLAN, classes, rbc)
+    ref = initial_interpolant((1, -2), in_a, ItpSystem.MCMILLAN, classes, rbc)
     for x, y in itertools.product([False, True], repeat=2):
         assert rbc.evaluate(ref, {1: x, 2: y}) == (not y)
     assert rbc.vars(ref) == {2}
-    assert initial_interpolant((1,), LABEL_A, ItpSystem.MCMILLAN, classes, rbc) == FALSE
-    assert (
-        initial_interpolant((-2,), LABEL_B, ItpSystem.MCMILLAN, classes, rbc)
-        == rbc.mk_true()
-    )
+    assert initial_interpolant((1,), in_a, ItpSystem.MCMILLAN, classes, rbc) == FALSE
+    assert initial_interpolant((-2,), in_b, ItpSystem.MCMILLAN, classes, rbc) == TRUE
     # HKP: bottom for A clauses, top for B clauses
-    assert initial_interpolant((1,), LABEL_A, ItpSystem.HKP, classes, rbc) == FALSE
-    assert initial_interpolant((1,), LABEL_B, ItpSystem.HKP, classes, rbc) == rbc.mk_true()
+    assert initial_interpolant((1,), in_a, ItpSystem.HKP, classes, rbc) == FALSE
+    assert initial_interpolant((1,), in_b, ItpSystem.HKP, classes, rbc) == TRUE
 
 
 def test_resolve_interpolant_rules():
     rbc = RbcStore()
     y = rbc.mk_var(2)
-    top, bot = rbc.mk_true(), rbc.mk_false()
+    top, bot = TRUE, FALSE
     assert resolve_interpolant(ItpSystem.MCMILLAN, SHARED, 2, y, top, rbc) == y
     assert resolve_interpolant(ItpSystem.MCMILLAN, A_LOCAL, 1, bot, bot, rbc) == FALSE
     assert resolve_interpolant(ItpSystem.HKP, A_LOCAL, 1, bot, bot, rbc) == FALSE
@@ -209,44 +208,45 @@ def test_resolve_interpolant_rules():
     assert got == y
     # orientation sensitivity: swapping children negates the result here
     got_swapped = resolve_interpolant(ItpSystem.HKP, SHARED, 2, top, bot, rbc)
-    assert got_swapped == mk_not(y)
+    assert got_swapped == y ^ 1
     assert resolve_interpolant(ItpSystem.HKP, B_LOCAL, 2, y, top, rbc) == y
 
 
 def _random_labeled_refutation(rng, max_vars=10):
-    """Random UNSAT split instance solved with mixed A/B labels."""
+    """Random UNSAT split instance: the clauses after a random cut are on
+    the B side.  Returns the proof, its root and the B leaves' ids."""
     while True:
         n = rng.randint(2, max_vars)
         f = random_formula(rng, n, rng.randint(2 * n, 6 * n))
         cut = rng.randint(1, len(f.clauses) - 1)
         s = Solver()
+        b_ids = set()
         for i, c in enumerate(f.clauses):
-            s.add_clause(c, LABEL_A if i < cut else LABEL_B)
+            ci = s.add_clause(c)
+            if i >= cut and ci != SENTINEL:
+                b_ids.add(s.clause_node[ci])
         out = s.solve()
         if isinstance(out, Sat):
             continue
         root = out.refutation
-        labels = {
-            s.proof.node(i)[2] for i in s.proof.reachable_inputs(root)
-        }
-        if labels != {LABEL_A, LABEL_B}:
+        leaves = set(input_leaves(s.proof, root))
+        if not (leaves & b_ids and leaves - b_ids):
             continue  # need leaves on both sides for an interpolation instance
         assert s.proof.check_refutation(root)
-        return s.proof, root
+        return s.proof, root, b_ids
 
 
-def _leaf_split(proof, root):
+def _leaf_split(proof, root, b_ids):
     a_leaves, b_leaves = [], []
-    for i in proof.reachable_inputs(root):
-        _, clause, label = proof.node(i)
-        (a_leaves if label == LABEL_A else b_leaves).append(clause)
+    for i in input_leaves(proof, root):
+        (b_leaves if i in b_ids else a_leaves).append(proof.node(i)[1])
     return a_leaves, b_leaves
 
 
-def _check_theorem1(proof, root, system, rbc=None):
+def _check_theorem1(proof, root, b_ids, system, rbc=None):
     rbc = rbc if rbc is not None else RbcStore()
-    ref = reference_interpolant(proof, root, system, rbc)
-    a_leaves, b_leaves = _leaf_split(proof, root)
+    ref = reference_interpolant(proof, root, b_ids, system, rbc)
+    a_leaves, b_leaves = _leaf_split(proof, root, b_ids)
     va = {abs(l) for c in a_leaves for l in c}
     vb = {abs(l) for c in b_leaves for l in c}
     assert rbc.vars(ref) <= va & vb
@@ -261,34 +261,24 @@ def _check_theorem1(proof, root, system, rbc=None):
 def test_theorem1_on_random_refutations(system):
     rng = random.Random(hash(system.value) & 0xFFFF)
     for _ in range(25):
-        proof, root = _random_labeled_refutation(rng)
-        _check_theorem1(proof, root, system)
+        proof, root, b_ids = _random_labeled_refutation(rng)
+        _check_theorem1(proof, root, b_ids, system)
 
 
-def _swap_labels(proof, root):
-    """Rebuild the reachable subproof with A and B labels exchanged."""
-    out = ProofStore()
-    remap = {}
-    for nid in proof.reachable(root):
-        node = proof.node(nid)
-        if node[0] == "I":
-            flipped = LABEL_B if node[2] == LABEL_A else LABEL_A
-            remap[nid] = out.add_input(node[1], flipped)
-        else:
-            _, l, r, piv = node
-            remap[nid] = out.add_resolvent(remap[l], remap[r], piv)
-    return out, remap[root]
+def _swap_labels(proof, root, b_ids):
+    """The B side with A and B exchanged: the reachable leaves not in b_ids."""
+    return set(input_leaves(proof, root)) - b_ids
 
 
 def test_hkp_is_self_dual_semantically():
     rng = random.Random(77)
     for _ in range(15):
-        proof, root = _random_labeled_refutation(rng, max_vars=8)
-        swapped, sroot = _swap_labels(proof, root)
+        proof, root, b_ids = _random_labeled_refutation(rng, max_vars=8)
+        swapped = _swap_labels(proof, root, b_ids)
         rbc = RbcStore()
-        direct = reference_interpolant(proof, root, ItpSystem.HKP, rbc)
-        dual = mk_not(reference_interpolant(swapped, sroot, ItpSystem.HKP, rbc))
-        a_leaves, b_leaves = _leaf_split(proof, root)
+        direct = reference_interpolant(proof, root, b_ids, ItpSystem.HKP, rbc)
+        dual = reference_interpolant(proof, root, swapped, ItpSystem.HKP, rbc) ^ 1
+        a_leaves, b_leaves = _leaf_split(proof, root, b_ids)
         all_vars = sorted({abs(l) for c in a_leaves + b_leaves for l in c})
         full, tables = make_tables(all_vars)
         assert rbc_table(rbc, direct, full, tables) == rbc_table(rbc, dual, full, tables)
@@ -297,22 +287,20 @@ def test_hkp_is_self_dual_semantically():
 def test_dual_mcmillan_is_negated_swapped_mcmillan():
     rng = random.Random(78)
     for _ in range(15):
-        proof, root = _random_labeled_refutation(rng, max_vars=8)
-        swapped, sroot = _swap_labels(proof, root)
+        proof, root, b_ids = _random_labeled_refutation(rng, max_vars=8)
+        swapped = _swap_labels(proof, root, b_ids)
         rbc = RbcStore()
-        dual = reference_interpolant(proof, root, ItpSystem.DUAL_MCMILLAN, rbc)
-        explicit = mk_not(
-            reference_interpolant(swapped, sroot, ItpSystem.MCMILLAN, rbc)
-        )
-        a_leaves, b_leaves = _leaf_split(proof, root)
+        dual = reference_interpolant(proof, root, b_ids, ItpSystem.DUAL_MCMILLAN, rbc)
+        explicit = reference_interpolant(proof, root, swapped, ItpSystem.MCMILLAN, rbc) ^ 1
+        a_leaves, b_leaves = _leaf_split(proof, root, b_ids)
         all_vars = sorted({abs(l) for c in a_leaves + b_leaves for l in c})
         full, tables = make_tables(all_vars)
         assert rbc_table(rbc, dual, full, tables) == rbc_table(rbc, explicit, full, tables)
 
 
 def test_traversal_is_linear_and_memoized(monkeypatch):
-    proof, root = _random_labeled_refutation(random.Random(99))
-    resolvents = [i for i in proof.reachable(root) if not proof.is_input(i)]
+    proof, root, b_ids = _random_labeled_refutation(random.Random(99))
+    resolvents = [i for i in proof.reachable(root) if proof.node(i)[0] == "R"]
     calls = []
     original = helpers.resolve_interpolant
 
@@ -321,14 +309,14 @@ def test_traversal_is_linear_and_memoized(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(helpers, "resolve_interpolant", counting)
-    reference_interpolant(proof, root, ItpSystem.MCMILLAN, RbcStore())
+    reference_interpolant(proof, root, b_ids, ItpSystem.MCMILLAN, RbcStore())
     assert len(calls) == len(resolvents)
 
 
 def test_refutation_without_a_inputs_rejected():
-    store = ProofStore()
-    a1 = store.add_input((1,), LABEL_B)
-    a2 = store.add_input((-1,), LABEL_B)
-    root = store.add_resolvent(a1, a2, 1)
+    store = HandBuiltProof()
+    b1 = store.add_input((1,))
+    b2 = store.add_input((-1,))
+    root = store.add_resolvent(b1, b2, 1)
     with pytest.raises(ValueError):
-        reference_interpolant(store, root, ItpSystem.MCMILLAN, RbcStore())
+        reference_interpolant(store, root, {b1, b2}, ItpSystem.MCMILLAN, RbcStore())

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazysat import (
-    LABEL_A,
-    LABEL_B,
     ProofError,
     ProofStore,
     Solver,
@@ -16,66 +14,60 @@ from lazysat import (
     UnsatUnderAssumptions,
 )
 from lazysat.cnf import is_tautology
-from tests.helpers import cnf_table, make_tables, random_formula
+from tests.helpers import HandBuiltProof, cnf_table, input_leaves, make_tables, random_formula
+
+# Proofs written out by hand go through HandBuiltProof, which validates each
+# step; the solver appends its own without validation, and check_refutation
+# is what verifies either.
 
 
 def test_add_input_basic():
-    store = ProofStore()
-    assert store.add_input((1,), LABEL_A) == 0
-    assert store.node(0) == ("I", (1,), LABEL_A)
+    store = HandBuiltProof()
+    assert store.add_input((1,)) == 0
+    assert store.node(0) == ("I", (1,))
 
 
 def test_input_with_literal_zero_is_rejected_not_called_tautological():
-    store = ProofStore()
+    store = HandBuiltProof()
     for clause in ((0,), (0, 2), (-1, 0)):
         with pytest.raises(ProofError, match="literal 0"):
-            store.add_input(clause, LABEL_A)
+            store.add_input(clause)
     assert len(store) == 0
 
 
-def test_bad_label_is_rejected_on_both_input_paths():
-    store = ProofStore()
-    with pytest.raises(ProofError, match="bad label"):
-        store.add_input((1,), "C")
-    s = Solver()
-    with pytest.raises(ProofError, match="bad label"):
-        s.add_clause((1, 2), "C")
-    assert len(store) == 0 and len(s.proof) == 0
-
-
 def test_identical_inputs_get_distinct_ids():
-    store = ProofStore()
-    a = store.add_input((1, -2), LABEL_A)
-    b = store.add_input((1, -2), LABEL_A)
+    store = HandBuiltProof()
+    a = store.add_input((1, -2))
+    b = store.add_input((1, -2))
     assert a != b
 
 
 def test_empty_input_clause_is_a_refutation():
-    store = ProofStore()
-    root = store.add_input((), LABEL_A)
+    store = HandBuiltProof()
+    root = store.add_input(())
     assert store.check_refutation(root)
 
 
 def test_resolvent_basic():
-    store = ProofStore()
-    l = store.add_input((1,), LABEL_A)
-    r = store.add_input((-1, 2), LABEL_A)
+    store = HandBuiltProof()
+    l = store.add_input((1,))
+    r = store.add_input((-1, 2))
     res = store.add_resolvent(l, r, 1)
     assert store.clause_of(res) == (2,)
 
 
 def test_tautological_resolvent_rejected():
-    store = ProofStore()
-    l = store.add_input((1, 2), LABEL_A)
-    r = store.add_input((-1, -2), LABEL_A)
+    store = HandBuiltProof()
+    l = store.add_input((1, 2))
+    r = store.add_input((-1, -2))
     with pytest.raises(ProofError):
         store.add_resolvent(l, r, 1)
 
 
 def test_pivot_orientation_enforced():
-    store = ProofStore()
-    l = store.add_input((1,), LABEL_A)
-    r = store.add_input((-1, 2), LABEL_A)
+    store = HandBuiltProof()
+    l = store.add_input((1,))
+    r = store.add_input((-1, 2))
     with pytest.raises(ProofError):
         store.add_resolvent(r, l, 1)  # pivot must be positive in the left child
     with pytest.raises(ProofError):
@@ -83,10 +75,10 @@ def test_pivot_orientation_enforced():
 
 
 def test_chain_to_empty_clause():
-    store = ProofStore()
-    a = store.add_input((1,), LABEL_A)
-    b = store.add_input((-1, 2), LABEL_A)
-    c = store.add_input((-2,), LABEL_A)
+    store = HandBuiltProof()
+    a = store.add_input((1,))
+    b = store.add_input((-1, 2))
+    c = store.add_input((-2,))
     step = store.add_resolvent(a, b, 1)
     root = store.add_resolvent(step, c, 2)
     assert store.clause_of(root) == ()
@@ -96,9 +88,9 @@ def test_chain_to_empty_clause():
 
 
 def test_check_refutation_recomputes_and_detects_corruption():
-    store = ProofStore()
-    a = store.add_input((1,), LABEL_A)
-    b = store.add_input((-1,), LABEL_A)
+    store = HandBuiltProof()
+    a = store.add_input((1,))
+    b = store.add_input((-1,))
     root = store.add_resolvent(a, b, 1)
     assert store.check_refutation(root)
     store._pivot[root] = 2  # corrupt the stored derivation
@@ -114,17 +106,17 @@ def test_dangling_id_raises():
 
 
 def test_dump_format_golden():
-    store = ProofStore()
-    store.add_input((1, -2), LABEL_A)
-    store.add_input((-1,), LABEL_B)
+    store = HandBuiltProof()
+    store.add_input((1, -2))
+    store.add_input((-1,))
     store.add_resolvent(0, 1, 1)
-    assert store.dump() == "0 I A 1 -2 0\n1 I B -1 0\n2 R 0 1 1 -2 0\n"
+    assert store.dump() == "0 I 1 -2 0\n1 I -1 0\n2 R 0 1 1 -2 0\n"
 
 
 def test_clause_of_recomputes_unchecked_nodes():
     store = ProofStore()
-    a = store.add_input((1, 3), LABEL_A)
-    b = store.add_input((-1, 2), LABEL_A)
+    a = store._append_input((1, 3))
+    b = store._append_input((-1, 2))
     nid = store._append_resolvent(a, b, 1)
     assert store.clause_of(nid) == (2, 3)
 
@@ -138,7 +130,7 @@ def test_reachable_subproof_preserves_check():
         f = random_formula(rng, rng.randint(2, 8), rng.randint(6, 28))
         s = Solver()
         for c in f.clauses:
-            s.add_clause(c, LABEL_A)
+            s.add_clause(c)
         out = s.solve()
         if not isinstance(out, Unsat):
             continue
@@ -150,7 +142,7 @@ def test_reachable_subproof_preserves_check():
         # children precede parents, so one descending pass marks the closure
         marked = {out.refutation}
         for nid in range(out.refutation, -1, -1):
-            if nid in marked and not s.proof.is_input(nid):
+            if nid in marked and s.proof.node(nid)[0] == "R":
                 _, left, right, _ = s.proof.node(nid)
                 marked |= {left, right}
         assert reach == sorted(marked)
@@ -165,14 +157,14 @@ def test_checked_refutations_have_unsat_leaf_conjunction():
         n = rng.randint(2, 9)
         f = random_formula(rng, n, rng.randint(4, 5 * n))
         s = Solver()
-        for i, c in enumerate(f.clauses):
-            s.add_clause(c, LABEL_A if i % 2 else LABEL_B)
+        for c in f.clauses:
+            s.add_clause(c)
         out = s.solve()
         if not isinstance(out, Unsat):
             continue
         checked += 1
         assert s.proof.check_refutation(out.refutation)
-        leaves = [s.proof.node(i)[1] for i in s.proof.reachable_inputs(out.refutation)]
+        leaves = [s.proof.node(i)[1] for i in input_leaves(s.proof, out.refutation)]
         vars_ = sorted({abs(l) for c in leaves for l in c})
         assert len(vars_) <= 20
         full, tables = make_tables(vars_)
@@ -185,7 +177,7 @@ def reference_check_refutation(store, root):
     clauses = {}
     for nid in store.reachable(root):
         if store._pivot[nid] < 0:
-            clauses[nid] = frozenset(store._inputs[nid][0])
+            clauses[nid] = frozenset(store._inputs[nid])
             continue
         left, right, pivot = store._left[nid], store._right[nid], store._pivot[nid]
         lc, rc = clauses[left], clauses[right]
@@ -204,13 +196,12 @@ def _corrupt(store, root, rng):
     bad = copy.deepcopy(store)
     nid = rng.choice(bad.reachable(root))
     if bad._pivot[nid] < 0:
-        clause, label = bad._inputs[nid]
-        lits = set(clause)
+        lits = set(bad._inputs[nid])
         if lits and rng.random() < 0.5:
             lits.discard(rng.choice(sorted(lits)))
         else:
             lits.add(rng.choice((1, -1)) * rng.randint(1, 9))
-        bad._inputs[nid] = (tuple(sorted(lits, key=abs)), label)
+        bad._inputs[nid] = tuple(sorted(lits, key=abs))
         return bad
     kind = rng.randrange(3)
     if kind == 0:
@@ -238,8 +229,8 @@ _proof_cases = st.tuples(
 def test_check_refutation_agrees_with_the_keep_everything_reference(case):
     clauses, assumed, seed = case
     s = Solver()
-    for i, c in enumerate(clauses):
-        s.add_clause(c, LABEL_A if i % 3 else LABEL_B)
+    for c in clauses:
+        s.add_clause(c)
     assumptions = [v if b else -v for v, b in assumed.items()]
     out = s.solve(assumptions)
     roots = []
@@ -262,12 +253,12 @@ def test_check_refutation_agrees_with_the_keep_everything_reference(case):
 
 def test_check_refutation_keeps_a_shared_child_until_its_last_parent():
     # a diamond: s = (2) is the child of both p1 and p2
-    store = ProofStore()
-    a = store.add_input((1, 2), LABEL_A)
-    b = store.add_input((-1, 2), LABEL_A)
+    store = HandBuiltProof()
+    a = store.add_input((1, 2))
+    b = store.add_input((-1, 2))
     shared = store.add_resolvent(a, b, 1)
-    c = store.add_input((-2, 3), LABEL_A)
-    d = store.add_input((-2, -3), LABEL_B)
+    c = store.add_input((-2, 3))
+    d = store.add_input((-2, -3))
     p1 = store.add_resolvent(shared, c, 2)
     p2 = store.add_resolvent(shared, d, 2)
     root = store.add_resolvent(p1, p2, 3)
@@ -296,13 +287,13 @@ def test_check_refutation_memory_follows_the_live_frontier():
     # to the end, where units on them finish the refutation: each clause is
     # read once, by the next step, so only a few are alive at any point
     n, side = 4000, list(range(5001, 5011))
-    store = ProofStore()
-    node = store.add_input([1, *side], LABEL_A)
+    store = HandBuiltProof()
+    node = store.add_input([1, *side])
     for v in range(1, n):
-        step = store.add_input((-v, v + 1), LABEL_A)
+        step = store.add_input((-v, v + 1))
         node = store.add_resolvent(node, step, v)
     for w in [n, *side]:
-        unit = store.add_input((-w,), LABEL_A)
+        unit = store.add_input((-w,))
         node = store.add_resolvent(node, unit, w)
     lean = _peak_bytes(ProofStore.check_refutation, store, node)
     full = _peak_bytes(reference_check_refutation, store, node)

@@ -5,7 +5,7 @@ from itertools import count
 import pytest
 
 from lazysat import RbcStore
-from lazysat.rbc import FALSE, TRUE, mk_not
+from lazysat.rbc import FALSE, TRUE
 from tests.helpers import definition_halves as _halves
 from tests.helpers import holds_under
 from tests.helpers import reached_halves as _reached_halves
@@ -16,12 +16,14 @@ from tests.helpers import shadow_eval as _shadow_eval
 def test_double_negation_is_identity():
     store = RbcStore()
     x = store.mk_var(1)
-    assert mk_not(mk_not(x)) == x
+    assert x ^ 1 ^ 1 == x
+    assert store.evaluate(x ^ 1, {1: True}) is False
 
 
 def test_negated_true_is_false():
     store = RbcStore()
-    assert mk_not(store.mk_true()) == store.mk_false() == FALSE
+    assert TRUE ^ 1 == FALSE
+    assert store.evaluate(FALSE, {}) is False
 
 
 def test_hash_consing_returns_identical_refs():
@@ -34,15 +36,15 @@ def test_hash_consing_returns_identical_refs():
 def test_and_simplifications():
     store = RbcStore()
     x = store.mk_var(1)
-    assert store.mk_and(x, store.mk_true()) == x
-    assert store.mk_and(x, store.mk_false()) == FALSE
+    assert store.mk_and(x, TRUE) == x
+    assert store.mk_and(x, FALSE) == FALSE
     assert store.mk_and(x, x) == x
-    assert store.mk_and(x, mk_not(x)) == FALSE
+    assert store.mk_and(x, x ^ 1) == FALSE
 
 
 def test_and_is_commutative_structurally():
     store = RbcStore()
-    a, b = store.mk_var(1), mk_not(store.mk_var(2))
+    a, b = store.mk_var(1), store.mk_var(2) ^ 1
     assert store.mk_and(a, b) == store.mk_and(b, a)
 
 
@@ -50,7 +52,7 @@ def test_evaluate_examples():
     store = RbcStore()
     f = store.mk_or(store.mk_var(1), store.mk_var(2))
     assert store.evaluate(f, {1: False, 2: True}) is True
-    assert store.evaluate(store.mk_true(), {}) is True
+    assert store.evaluate(TRUE, {}) is True
     with pytest.raises(ValueError):
         store.evaluate(f, {1: False})
 
@@ -59,7 +61,7 @@ def test_vars():
     store = RbcStore()
     x, y = store.mk_var(1), store.mk_var(2)
     assert store.vars(store.mk_and(x, store.mk_or(x, y))) == {1, 2}
-    assert store.vars(store.mk_true()) == frozenset()
+    assert store.vars(TRUE) == frozenset()
 
 
 def test_evaluate_against_recursive_oracle():
@@ -77,7 +79,7 @@ def test_tseitin_leaf_shortcut():
     store = RbcStore()
     clauses, root = store.to_cnf_tseitin(store.mk_var(4), count(10))
     assert clauses == [] and root == 4
-    clauses, root = store.to_cnf_tseitin(mk_not(store.mk_var(4)), count(10))
+    clauses, root = store.to_cnf_tseitin(store.mk_var(4) ^ 1, count(10))
     assert clauses == [] and root == -4
 
 
@@ -86,9 +88,9 @@ def test_tseitin_single_and_gate():
     r = store.mk_and(store.mk_var(1), store.mk_var(2))
     fresh = count(3)
     assert store.to_cnf_tseitin(r, fresh) == ([(-3, 1), (-3, 2)], 3)
-    assert store.to_cnf_tseitin(mk_not(r), fresh) == ([(3, -1, -2)], -3)
+    assert store.to_cnf_tseitin(r ^ 1, fresh) == ([(3, -1, -2)], -3)
     assert store.to_cnf_tseitin(r, fresh) == ([], 3)
-    assert store.to_cnf_tseitin(mk_not(r), fresh) == ([], -3)
+    assert store.to_cnf_tseitin(r ^ 1, fresh) == ([], -3)
 
 
 def test_tseitin_constants():
@@ -111,7 +113,7 @@ def test_tseitin_lowers_a_shared_subterm_once_per_store():
     x, y, z, w = (store.mk_var(v) for v in (1, 2, 3, 4))
     shared = store.mk_and(x, store.mk_or(y, z))
     first = store.mk_or(shared, w)
-    second = store.mk_and(shared, mk_not(w))
+    second = store.mk_and(shared, w ^ 1)
     fresh = count(5)
     clauses1, root1 = store.to_cnf_tseitin(first, fresh)
     clauses2, root2 = store.to_cnf_tseitin(second, fresh)
@@ -137,7 +139,7 @@ def test_tseitin_node_reached_in_its_other_polarity_adds_its_missing_half_once()
     x, y, z, w = (store.mk_var(v) for v in (1, 2, 3, 4))
     shared = store.mk_and(x, y)
     first = store.mk_and(shared, w)
-    second = store.mk_or(mk_not(shared), z)  # reaches shared negatively
+    second = store.mk_or(shared ^ 1, z)  # reaches shared negatively
     fresh = count(5)
     clauses1, root1 = store.to_cnf_tseitin(first, fresh)
     s = store.to_cnf_tseitin(shared, fresh)[1]
@@ -146,7 +148,7 @@ def test_tseitin_node_reached_in_its_other_polarity_adds_its_missing_half_once()
     clauses2, root2 = store.to_cnf_tseitin(second, fresh)
     # shared's missing half, then the new root's negative half
     assert clauses2 == [(5, -1, -2), (7, 3, -5)] and root2 == -7
-    for ref in (shared, mk_not(shared), first, second):
+    for ref in (shared, shared ^ 1, first, second):
         assert store.to_cnf_tseitin(ref, fresh)[0] == []
     both = clauses1 + clauses2 + [(root1,), (root2,)]
     for bits in itertools.product([False, True], repeat=4):
@@ -213,6 +215,6 @@ def test_dag_sharing_across_constructions():
 
 def test_to_dot_smoke():
     store = RbcStore()
-    r = store.mk_and(store.mk_var(1), mk_not(store.mk_var(2)))
+    r = store.mk_and(store.mk_var(1), store.mk_var(2) ^ 1)
     dot = store.to_dot(r)
     assert dot.startswith("digraph") and "and" in dot

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from lazysat import (
-    LABEL_A,
     Formula,
     Interpolant,
     ItpSystem,
@@ -25,6 +24,7 @@ from tests.helpers import (
     count_projected_models,
     definition_halves,
     holds_under,
+    input_leaves,
     pigeonhole,
     random_3cnf,
     reached_halves,
@@ -73,16 +73,9 @@ def test_assemble_model_merges_consistently():
     d = decompose_lazy(f, 2)
     assert d.shared_vars == {2}
     m = {2: True}
-    ext = {0: {1: False, 2: True}, 1: {2: True, 3: False}}
-    model = assemble_model(m, ext, d, f.vars())
-    assert model == {1: False, 2: True, 3: False, 5: False}
-
-
-def test_assemble_model_disagreement_is_internal_error():
-    f = Formula(((1, 2), (2, 3)), 3)
-    d = decompose_lazy(f, 2)
-    with pytest.raises(RuntimeError):
-        assemble_model({2: True}, {0: {1: False, 2: False}}, d, f.vars())
+    private = [{-1}, {3}]  # each partition's true literals over its private vars
+    model = assemble_model(m, private, f.vars())
+    assert model == {1: False, 2: True, 3: True, 5: False}
 
 
 def test_soundness_matches_oracle_across_k_and_systems():
@@ -410,11 +403,10 @@ def test_partition_that_refutes_itself_ends_the_run_with_its_own_refutation(f, k
     assert not any(isinstance(e, Interpolant) for e in seen)
     assert r.g_proof.check_refutation(r.g_refutation)
     clauses_of_f = {normalize_clause(c) for c in f.clauses}
-    leaves = r.g_proof.reachable_inputs(r.g_refutation)
+    leaves = input_leaves(r.g_proof, r.g_refutation)
     assert leaves
     for leaf in leaves:
-        _, clause, label = r.g_proof.node(leaf)
-        assert label == LABEL_A and clause in clauses_of_f
+        assert r.g_proof.node(leaf)[1] in clauses_of_f
 
 
 def _log_partition_calls(monkeypatch):
@@ -589,6 +581,8 @@ def test_hkp_and_dual_mcmillan_compute_the_negated_assumption_core(f, k, system)
     ids=["php7-k10", "rand3-n20-seed4-k2"],
 )
 def test_the_loop_builds_no_labeled_refutation(monkeypatch, f, k):
+    # Each partition proof's input nodes are exactly that partition's
+    # clauses, in order: no unit of m is ever appended to it.
     def refuse(*args, **kwargs):
         raise AssertionError("labeled_refutation called")
 
@@ -604,11 +598,12 @@ def test_the_loop_builds_no_labeled_refutation(monkeypatch, f, k):
     monkeypatch.setattr(module, "Solver", solver)
     r = reconcile(f, k)
     assert r.verdict == "UNSAT" and r.stats.interpolants > 0
-    for part in made[1:]:  # G is the first solver reconcile makes
-        proof = part.proof
-        for nid in range(len(proof)):
-            if proof.is_input(nid):
-                assert proof.node(nid)[2] == LABEL_A
+    parts = decompose_lazy(f, k).partitions
+    assert len(made) == 1 + len(parts)  # G is the first solver reconcile makes
+    for part, part_solver in zip(parts, made[1:]):
+        proof = part_solver.proof
+        inputs = [proof.node(nid)[1] for nid in range(len(proof)) if proof.node(nid)[0] == "I"]
+        assert inputs == [normalize_clause(c) for c in part.clauses]
 
 
 _LOWERING_CASES = [

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazysat import (
-    LABEL_A,
-    LABEL_B,
     BudgetExceeded,
     Formula,
     Sat,
@@ -19,12 +17,14 @@ from lazysat.solver import SENTINEL
 from tests.helpers import (
     clause_table,
     cnf_table,
+    input_leaves,
     make_tables,
     naive_brute_force,
     on_learnt,
     pigeonhole,
     random_3cnf,
     random_formula,
+    value,
 )
 
 
@@ -65,7 +65,7 @@ def test_add_creates_one_input_node():
     s = Solver()
     s.add_clause([1, 2])
     assert len(s.proof) == 1
-    assert s.proof.node(0) == ("I", (1, 2), LABEL_A)
+    assert s.proof.node(0) == ("I", (1, 2))
 
 
 def test_solve_propagation_forced_model():
@@ -93,10 +93,10 @@ def test_solve_unsat_under_assumptions_conflict_subset():
     out = s.solve([-2])
     assert isinstance(out, UnsatUnderAssumptions)
     assert set(out.conflict_assumptions) <= {-2}
-    # the conflict clause is exactly the negated subset, and it is A-derived
+    # the conflict clause is exactly the negated subset, derived from the
+    # solver's clauses alone
     assert s.proof.clause_of(out.refutation) == (2,)
-    leaves = s.proof.reachable_inputs(out.refutation)
-    assert all(s.proof.node(i)[2] == LABEL_A for i in leaves)
+    assert set(input_leaves(s.proof, out.refutation)) <= set(s.clause_node)
 
 
 def test_refusal_core_is_the_falsified_assumption_then_decisions_latest_first():
@@ -200,8 +200,7 @@ def test_propagate_assumptions_matches_unit_propagation_and_keeps_the_solver():
                 assert pos[1:] == sorted(pos[1:], reverse=True) and max(pos[1:], default=-1) < pos[0]
                 negated = frozenset(-a for a in core)
                 assert _recompute_clause(s.proof, out.refutation) == negated
-                leaves = s.proof.reachable_inputs(out.refutation)
-                assert all(s.proof.node(i)[2] == LABEL_A for i in leaves)
+                assert set(input_leaves(s.proof, out.refutation)) <= set(s.clause_node)
                 # only the refutation's own resolvents were appended
                 assert len(s.proof) == proof_len or out.refutation == len(s.proof) - 1
                 assert isinstance(s.solve(arg), UnsatUnderAssumptions)
@@ -216,7 +215,7 @@ def _place_by_steps(s, assumptions):
     after each literal placed."""
     while len(s.trail_lim) < len(assumptions):
         a = assumptions[len(s.trail_lim)]
-        va = s.value(a)
+        va = value(s, a)
         if va < 0:
             return s._analyze_final(a)
         s.trail_lim.append(len(s.trail))
@@ -254,7 +253,7 @@ def test_placement_loop_matches_placing_and_propagating_one_at_a_time():
             ref._take_assumptions(arg)
             if pending:
                 free = [v for v in range(1, n + 1)
-                        if s._active[v] and not s.value(v) and v not in map(abs, arg)]
+                        if s._active[v] and not value(s, v) and v not in map(abs, arg)]
                 if not free:
                     continue
                 u = rng.choice(free)
@@ -366,7 +365,7 @@ def test_value_of_level0_literals_is_plus_minus_one():
     s = Solver()
     s.add_clause([1])
     s.add_clause([-1, -2])  # propagates -2 at level 0
-    assert [s.value(l) for l in (1, -1, 2, -2, 3)] == [1, -1, -1, 1, 0]
+    assert [value(s, l) for l in (1, -1, 2, -2, 3)] == [1, -1, -1, 1, 0]
     out = s.solve()
     assert out.model == {1: True, 2: False}
     assert all(type(b) is bool for b in out.model.values())
@@ -507,12 +506,12 @@ def test_learnt_clauses_stay_a_derived_after_assumption_solves():
             assumptions = [v if rng.random() < 0.5 else -v for v in vs]
             out = s.solve(assumptions)
             if isinstance(out, UnsatUnderAssumptions):
-                s.labeled_refutation(assumptions)  # adds B unit inputs
+                s.labeled_refutation(assumptions)  # adds unit inputs for the core
             elif isinstance(out, Unsat):
                 break
+        inputs = set(s.clause_node[:first_learnt])
         for ci in range(first_learnt, len(s.clauses)):
-            leaves = s.proof.reachable_inputs(s.clause_node[ci])
-            assert all(s.proof.node(i)[2] == LABEL_A for i in leaves)
+            assert set(input_leaves(s.proof, s.clause_node[ci])) <= inputs
 
 
 def test_interleaved_adds_and_assumption_solves_match_oracle():
@@ -554,6 +553,13 @@ def test_interleaved_adds_and_assumption_solves_match_oracle():
             assert type(again) is type(out)
 
 
+def _unit_leaves(s, root):
+    """The clauses of the leaves under root that are not the solver's
+    clauses: the units labeled_refutation appended."""
+    ours = set(s.clause_node)
+    return [s.proof.node(i)[1] for i in input_leaves(s.proof, root) if i not in ours]
+
+
 def test_labeled_refutation_examples():
     # A = {x v y, ~x}, B unit ~y
     s = Solver()
@@ -563,12 +569,7 @@ def test_labeled_refutation_examples():
     assert isinstance(out, UnsatUnderAssumptions)
     root = s.labeled_refutation([-2])
     assert s.proof.check_refutation(root)
-    b_leaves = [
-        s.proof.node(i)
-        for i in s.proof.reachable_inputs(root)
-        if s.proof.node(i)[2] == LABEL_B
-    ]
-    assert [n[1] for n in b_leaves] == [(-2,)]
+    assert _unit_leaves(s, root) == [(-2,)]
 
     # DB-level refutation: no B leaves at all
     s = Solver()
@@ -577,9 +578,7 @@ def test_labeled_refutation_examples():
     s.solve()
     root = s.labeled_refutation([])
     assert s.proof.check_refutation(root)
-    assert all(
-        s.proof.node(i)[2] == LABEL_A for i in s.proof.reachable_inputs(root)
-    )
+    assert _unit_leaves(s, root) == []
 
     # both units needed
     s = Solver()
@@ -589,12 +588,7 @@ def test_labeled_refutation_examples():
     assert set(out.conflict_assumptions) == {-1, -2}
     root = s.labeled_refutation([-1, -2])
     assert s.proof.check_refutation(root)
-    b_clauses = {
-        s.proof.node(i)[1]
-        for i in s.proof.reachable_inputs(root)
-        if s.proof.node(i)[2] == LABEL_B
-    }
-    assert b_clauses == {(-1,), (-2,)}
+    assert set(_unit_leaves(s, root)) == {(-1,), (-2,)}
 
 
 def test_labeled_refutation_after_sat_is_contract_violation():
@@ -699,7 +693,7 @@ def test_decision_heap_stays_bounded_and_picks_the_argmax(monkeypatch):
         if s._var_inc < stats["inc"]:  # only a rescale shrinks it
             stats["rescales"] += 1
         stats["inc"] = s._var_inc
-        free = [v for v in s._active_list if s.value(v) == 0]
+        free = [v for v in s._active_list if value(s, v) == 0]
         want = min(free, key=lambda v: (-s._activity[v], v))
         got = real_pick(s)
         assert got == want
