@@ -118,7 +118,7 @@ def _parse_system(name: str) -> ItpSystem:
 
 
 def _load(path: str) -> Formula:
-    return parse_dimacs(Path(path).read_text())
+    return parse_dimacs(Path(path).read_bytes())
 
 
 def cmd_solve(args) -> int:

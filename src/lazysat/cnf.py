@@ -8,7 +8,9 @@ significant: partitioning splits the clause list by position.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 Lit = int
@@ -51,6 +53,33 @@ class Formula:
         return frozenset(abs(l) for c in self.clauses for l in c)
 
 
+# A line whose first non-blank character is 'c' (a comment), 'p' (a header)
+# or '%' (the end of input); every other line holds clause tokens or nothing.
+_MARKED_LINE = re.compile(r"^[^\S\n]*([cp%]).*", re.M)
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' but "\n"
+_CHUNK = 1 << 16  # characters tokenized at once, extended to a line end
+
+
+def _rank(lit: Lit) -> int:
+    """Sort key of normalize_clause's order: by variable, positive first."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
+def _first_error(chunk: str, line_no: int, header: tuple[int, int] | None) -> DimacsError:
+    """The error of the first bad line among clause lines known to hold one."""
+    for line_no, line in enumerate(chunk.split("\n"), line_no):
+        stripped = line.strip()
+        if stripped and header is None:
+            return DimacsError(line_no, f"clause before 'p cnf' header: {stripped!r}")
+        for tok in stripped.split():
+            if tok == "-0":
+                return DimacsError(line_no, "literal index 0 in clause body")
+            try:
+                int(tok)
+            except ValueError:
+                return DimacsError(line_no, f"non-integer token {tok!r}")
+
+
 def parse_dimacs(text: str | bytes) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
@@ -58,55 +87,92 @@ def parse_dimacs(text: str | bytes) -> Formula:
     (a convention of several benchmark suites).  Clauses are zero-terminated
     and may span lines.  num_vars is the max of the header value and the
     largest index actually used, since benchmark headers are not always
-    accurate.
+    accurate.  Bytes are decoded as UTF-8 with undecodable bytes replaced,
+    so comments may be in any encoding.
+
+    No Python runs per token.  One regex finds the comment, header and '%'
+    lines; the clause lines between them are split about 64 KB at a time by
+    ``str.split``, each distinct token is converted once by ``int``, and
+    the literals are cut into clauses at each 0 and normalized by one keyed
+    sort each.  Formula and errors, message and line number alike, are
+    those of reading the text line by line: a chunk holding '-0' or a
+    non-integer token is read again line by line to find its first bad
+    line, and a text with line breaks other than '\\n' is first rejoined
+    with '\\n'.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        text = "\n".join(text.splitlines()) + "\n"
+    n_lines = text.count("\n")
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []
-    pending: list[int] = []
-    max_var = 0
-    last_line = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("%"):
-            break
-        if stripped.startswith("p"):
-            if header is not None:
-                raise DimacsError(line_no, "duplicate header")
-            fields = stripped.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise DimacsError(line_no, f"malformed header: {stripped!r}")
+    lit_of: dict[str, int] = {}  # each distinct token met so far, as an int
+    pending: list[int] = []  # literals read but not yet cut into clauses
+    find_zero, add = pending.index, clauses.append
+    max_var = n = 0
+    # rank[l] == _rank(l) for 0 < |l| <= n: at most one entry per line
+    rank = [0]
+    line, pos = 1, 0  # the line number at position pos
+    # No line after the one holding the last 'c', 'p' or '%' is marked.
+    tail = text.find("\n", max(0, *map(text.rfind, "cp%")))
+    marks = _MARKED_LINE.finditer(text, 0, len(text) if tail < 0 else tail)
+    for m in chain(marks, [None]):
+        stop = m.start() if m else len(text)
+        seg, seg_line = pos, line
+        while pos < stop:
+            cut = text.find("\n", pos + _CHUNK, stop) + 1 or stop
+            chunk = text[pos:cut]
+            toks = chunk.split()
+            new = set(toks).difference(lit_of)
+            if new:
+                try:
+                    if header is None or "-0" in new:
+                        raise ValueError
+                    lits = list(map(int, new))
+                except ValueError:
+                    at = seg_line + text.count("\n", seg, pos)
+                    raise _first_error(chunk, at, header) from None
+                lit_of.update(zip(new, lits))
+                max_var = max(max_var, max(lits), -min(lits))
+                if n < max_var <= n_lines // 2:
+                    n = min(max(max_var, 2 * n), n_lines // 2)
+                    rank = [0, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)]
+            key = rank.__getitem__ if max_var <= n else _rank
+            pending += map(lit_of.__getitem__, toks)
+            start = 0
             try:
+                while True:
+                    end = find_zero(0, start)
+                    add(tuple(sorted({*pending[start:end]}, key=key)))
+                    start = end + 1
+            except ValueError:
+                del pending[:start]
+            pos = cut
+        line = seg_line + text.count("\n", seg, stop)
+        if m is None:
+            line -= text.endswith("\n")  # the last line's number
+            break
+        if m[1] == "%":
+            break
+        pos = m.end()
+        if m[1] == "p":
+            if header is not None:
+                raise DimacsError(line, "duplicate header")
+            stripped = m[0].strip()
+            fields = stripped.split()
+            try:
+                if len(fields) != 4 or fields[1] != "cnf":
+                    raise ValueError
                 header = (int(fields[2]), int(fields[3]))
             except ValueError:
-                raise DimacsError(line_no, f"malformed header: {stripped!r}") from None
-            if header[0] < 0 or header[1] < 0:
-                raise DimacsError(line_no, "negative counts in header")
-            continue
-        if header is None:
-            raise DimacsError(line_no, f"clause before 'p cnf' header: {stripped!r}")
-        for tok in stripped.split():
-            if tok == "-0":
-                raise DimacsError(line_no, "literal index 0 in clause body")
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise DimacsError(line_no, f"non-integer token {tok!r}") from None
-            if lit == 0:
-                clauses.append(normalize_clause(pending))
-                pending.clear()
-            else:
-                pending.append(lit)
-                if abs(lit) > max_var:
-                    max_var = abs(lit)
+                raise DimacsError(line, f"malformed header: {stripped!r}") from None
+            if min(header) < 0:
+                raise DimacsError(line, "negative counts in header")
     if pending:
-        raise DimacsError(last_line, "unterminated clause at end of input")
+        raise DimacsError(line, "unterminated clause at end of input")
     if header is None:
-        raise DimacsError(last_line or 1, "missing 'p cnf' header")
+        raise DimacsError(line or 1, "missing 'p cnf' header")
     return Formula(tuple(clauses), max(header[0], max_var))
 
 

@@ -343,20 +343,15 @@ class Solver:
     # ------------------------------------------------------------------
     # activity
 
-    def _bump(self, var: int):
-        act = self._activity[var] + self._var_inc
-        self._activity[var] = act
-        if act > _RESCALE:
-            scale = 1.0 / _RESCALE
-            for v in self._active_list:
-                self._activity[v] *= scale
-            self._var_inc *= scale
-            self._rebuild_heap()
-        elif self._vals[self._cap + var] == 0:
-            self._in_heap[var] = 1
-            heappush(self._heap, (-act, var))
-        else:
-            self._in_heap[var] = 0  # its entry, if any, is stale now
+    def _rescale(self):
+        """Scale every activity and the increment down by _RESCALE, keeping
+        their order, and rebuild the heap at the new activities."""
+        scale = 1.0 / _RESCALE
+        activity = self._activity
+        for v in self._active_list:
+            activity[v] *= scale
+        self._var_inc *= scale
+        self._rebuild_heap()
 
     def _rebuild_heap(self):
         """One entry per unassigned variable, at its current activity."""
@@ -390,28 +385,10 @@ class Solver:
     # ------------------------------------------------------------------
     # conflict analysis
 
-    def _chain_to_node(self, start_clause: int, steps) -> int:
-        """Materialize a recorded resolution chain as proof nodes.
-
-        Each step is (antecedent clause index, trail literal t); the running
-        clause contains -t and the antecedent contains t, so the orientation
-        (pivot positive on the left) follows from the sign of t.
-        """
-        proof = self.proof
-        append = proof._append_resolvent
-        clause_node = self.clause_node
-        node = clause_node[start_clause]
-        for ci, t in steps:
-            rnode = clause_node[ci]
-            if t > 0:
-                node = append(rnode, node, t)
-            else:
-                node = append(node, rnode, -t)
-        return node
-
     def _resolve_back(self, start: int, steps, lits):
         """Extend the chain that begins at clause ``start`` and goes on
-        through ``steps``, resolving ``lits`` out latest on the trail first.
+        through ``steps``, pairs (antecedent clause index, trail literal),
+        resolving ``lits`` out latest on the trail first.
 
         ``lits`` are falsified literals of the chain's clause, repeats
         allowed.  A literal with a reason is resolved against it; one
@@ -452,7 +429,8 @@ class Solver:
                         heappush(heap, -tpos[u])
         for v in touched:
             seen[v] = 0
-        return self._chain_to_node(start, steps), decisions
+        clause_node = self.clause_node
+        return self.proof._append_chain(clause_node[start], steps, clause_node), decisions
 
     def _refute_at_level0(self, confl: int):
         """Derive the empty clause from a conflict at decision level 0."""
@@ -469,6 +447,9 @@ class Solver:
         reason = self._reason
         trail = self.trail
         seen = self._seen
+        activity = self._activity
+        in_heap = self._in_heap
+        var_inc = self._var_inc
         cur_level = len(self.trail_lim)
         learnt: list[Lit] = []
         level0: list[Lit] = []
@@ -496,7 +477,13 @@ class Solver:
                         path += 1
                     else:
                         learnt.append(q)
-                    self._bump(v)
+                    # bump: v is assigned, so its heap entry, if any, is stale
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    in_heap[v] = 0
+                    if act > _RESCALE:
+                        self._rescale()
+                        var_inc = self._var_inc
             while True:
                 t = trail[idx]
                 v = t if t > 0 else -t

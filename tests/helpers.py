@@ -12,7 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
-from lazysat import Formula, ItpSystem, ProofError, ProofStore, normalize_clause
+from lazysat import DimacsError, Formula, ItpSystem, ProofError, ProofStore, normalize_clause
 from lazysat.cnf import Clause, is_tautology
 from lazysat.rbc import FALSE, TRUE, RbcRef, RbcStore
 
@@ -402,6 +402,62 @@ def labeled_refutation(
 
 
 # ---------------------------------------------------------------------------
+# reference DIMACS parser: the text read line by line, one token at a time
+
+
+def reference_parse_dimacs(text: str | bytes) -> Formula:
+    """What parse_dimacs must return or raise for every text."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
+    header: tuple[int, int] | None = None
+    clauses: list[Clause] = []
+    pending: list[int] = []
+    max_var = 0
+    last_line = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        last_line = line_no
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("%"):
+            break
+        if stripped.startswith("p"):
+            if header is not None:
+                raise DimacsError(line_no, "duplicate header")
+            fields = stripped.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise DimacsError(line_no, f"malformed header: {stripped!r}")
+            try:
+                header = (int(fields[2]), int(fields[3]))
+            except ValueError:
+                raise DimacsError(line_no, f"malformed header: {stripped!r}") from None
+            if header[0] < 0 or header[1] < 0:
+                raise DimacsError(line_no, "negative counts in header")
+            continue
+        if header is None:
+            raise DimacsError(line_no, f"clause before 'p cnf' header: {stripped!r}")
+        for tok in stripped.split():
+            if tok == "-0":
+                raise DimacsError(line_no, "literal index 0 in clause body")
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DimacsError(line_no, f"non-integer token {tok!r}") from None
+            if lit == 0:
+                clauses.append(normalize_clause(pending))
+                pending.clear()
+            else:
+                pending.append(lit)
+                if abs(lit) > max_var:
+                    max_var = abs(lit)
+    if pending:
+        raise DimacsError(last_line, "unterminated clause at end of input")
+    if header is None:
+        raise DimacsError(last_line or 1, "missing 'p cnf' header")
+    return Formula(tuple(clauses), max(header[0], max_var))
+
+
+# ---------------------------------------------------------------------------
 # text for fuzzing the parser and the command line
 
 
@@ -419,6 +475,49 @@ dimacs_texts = st.builds(
     st.lists(st.one_of(_clauses, _clauses, _lines, st.text(max_size=4)), max_size=6),
     st.sampled_from(["\n", "\r\n", "\n\n"]),
 )
+
+# Whole DIMACS documents, str or bytes, for comparing parse_dimacs with
+# reference_parse_dimacs: comments before, between and inside clauses,
+# clauses over several lines, '%', near-miss headers and tokens, every line
+# break str.splitlines knows, blank lines of other whitespace, and bytes
+# that are not valid UTF-8.
+_DOC_TOKENS = _LITS + ["0", "0", "-0", "-00", "00", "+3", "1_0", "\u0663", "x", "1.5", "--1"]
+_DOC_TOKENS += ["c", "p", "%"]
+_DOC_HEADERS = ["p cnf 9 3", "p cnf 4 2", " p  cnf  2\t1 ", "p cnf 0 0", "p cnf 3",
+                "p cnf x 2", "p cnf 2 -1", "p dnf 2 1", "p cnf +3 1_0"]
+_DOC_COMMENTS = ["c", "c hello", "  c indented", "cnf 1 0", "c \u00dcberpr\u00fcfung"]
+_DOC_COMMENTS += ["%", " % end"]
+_DOC_BLANKS = ["", "  ", "\t", "\x1f", "\xa0\u3000"]
+_doc_line = st.one_of(
+    _clauses,
+    _clauses,
+    st.lists(st.sampled_from(_LITS), max_size=3).map(" ".join),  # part of a clause
+    st.lists(st.sampled_from(_DOC_TOKENS), min_size=1, max_size=4).map(" ".join),
+    st.lists(st.sampled_from(_LITS + ["0"]), max_size=4).map("\t\xa0".join),
+    st.sampled_from(_DOC_HEADERS),
+    st.sampled_from(_DOC_COMMENTS),
+    st.sampled_from(_DOC_BLANKS),
+)
+_DOC_BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def dimacs_documents(draw):
+    lines = draw(st.lists(_doc_line, max_size=12))
+    if draw(st.sampled_from([True, True, True, False])):  # mostly a header, mostly first
+        at = draw(st.sampled_from([0, 0, 0, draw(st.integers(0, len(lines)))]))
+        lines.insert(at, draw(st.sampled_from(_DOC_HEADERS[:2])))
+    text = "".join(line + draw(st.sampled_from(_DOC_BREAKS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    if not draw(st.booleans()):
+        return text
+    data = text.encode()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(data.find(b"\n") + 1, len(data)))  # mostly past the header
+        bad = draw(st.sampled_from([b"\xff", b"\xdc", b"\xe2\x80", b"\x85"]))
+        data = data[:at] + bad + data[at:]
+    return data
 
 
 # ---------------------------------------------------------------------------

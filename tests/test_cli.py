@@ -111,6 +111,14 @@ def test_solve_parse_error_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_reads_a_comment_in_any_encoding(tmp_path, capsys):
+    # A Latin-1 comment is not UTF-8; the clauses around it still parse.
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"c \xdcberpr\xfcfung\r\np cnf 2 2\r\n1 2 0\r\n-1 0\r\n")
+    assert main(["solve", str(path)]) == 10
+    assert capsys.readouterr().out.splitlines()[:2] == ["s SATISFIABLE", "v -1 2 0"]
+
+
 def test_solve_bad_partition_count(tmp_path, capsys):
     path = _write(tmp_path, "sat.cnf", "p cnf 2 1\n1 2 0\n")
     assert main(["solve", path, "--partitions", "9"]) == 1
@@ -257,7 +265,7 @@ def test_solve_exit_code_on_arbitrary_file_contents(content):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["solve", str(path)])
         try:
-            f = parse_dimacs(path.read_text())
+            f = parse_dimacs(path.read_bytes())
         except ValueError:
             f = None
     if f is None:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from lazysat import (
     parse_dimacs,
     write_dimacs,
 )
+from lazysat import cnf
 from lazysat.cnf import is_tautology
-from tests.helpers import dimacs_texts, random_formula
+from tests.helpers import dimacs_documents, dimacs_texts, random_formula, reference_parse_dimacs
 
 
 def test_parse_basic():
@@ -162,3 +165,50 @@ def test_parse_dimacs_rejects_cleanly_or_round_trips(text):
     assert all(0 not in c and c == normalize_clause(c) for c in f.clauses)
     assert all(abs(l) <= f.num_vars for c in f.clauses for l in c)
     assert parse_dimacs(write_dimacs(f)) == f
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except DimacsError as exc:
+        return str(exc), exc.line_no
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(dimacs_documents())
+def test_parse_dimacs_matches_the_line_by_line_reference(doc):
+    # Same Formula, or the same error message and line, as reading the text
+    # line by line; also with chunks cut at every line end, inside clauses
+    # that span lines.
+    want = _outcome(reference_parse_dimacs, doc)
+    chunk = cnf._CHUNK
+    try:
+        for size in (chunk, 0, 5):
+            cnf._CHUNK = size
+            assert _outcome(parse_dimacs, doc) == want
+    finally:
+        cnf._CHUNK = chunk
+
+
+def test_parse_dimacs_memory_follows_the_text_not_its_largest_index():
+    # The rank table for the sort grows with the lines, so a short text
+    # with a huge variable index parses in little memory.
+    tracemalloc.start()
+    try:
+        f = parse_dimacs("p cnf 1 2\n1000000 0\n-3 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == Formula(((1000000,), (-3,)), 1000000)
+    assert peak < 100_000
+
+
+def test_parse_dimacs_matches_the_reference_on_the_benchmark_texts(monkeypatch):
+    # The texts perfbench solves, up to a few hundred lines each, where the
+    # rank table serves every literal.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for name in ("php-kcurve", "rand3-threshold", "k1-cdcl"):
+        for inst in workloads.build(name, 77).instances:
+            assert parse_dimacs(inst.text) == reference_parse_dimacs(inst.text)
