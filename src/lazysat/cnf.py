@@ -57,7 +57,7 @@ class Formula:
 # or '%' (the end of input); every other line holds clause tokens or nothing.
 _MARKED_LINE = re.compile(r"^[^\S\n]*([cp%]).*", re.M)
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' but "\n"
-_CHUNK = 1 << 16  # characters tokenized at once, extended to a line end
+_CHUNK = 1 << 14  # characters tokenized at once, extended to a line end
 
 
 def _rank(lit: Lit) -> int:
@@ -91,54 +91,48 @@ def parse_dimacs(text: str | bytes) -> Formula:
     so comments may be in any encoding.
 
     No Python runs per token.  One regex finds the comment, header and '%'
-    lines; the clause lines between them are split about 64 KB at a time by
-    ``str.split``, each distinct token is converted once by ``int``, and
-    the literals are cut into clauses at each 0 and normalized by one keyed
-    sort each.  Formula and errors, message and line number alike, are
-    those of reading the text line by line: a chunk holding '-0' or a
-    non-integer token is read again line by line to find its first bad
-    line, and a text with line breaks other than '\\n' is first rejoined
-    with '\\n'.
+    lines; the clause lines between them are split about 16 KB at a time by
+    ``str.split``, each distinct token of a chunk is converted once by
+    ``int``, and the literals are cut into clauses at each 0 and normalized
+    by one keyed sort each.  Past a few chunks of text, the peak memory is
+    below that of holding every line at once.  Formula and errors, message
+    and line number alike, are those of reading the text line by line: a
+    chunk holding '-0' or a non-integer token is read again line by line to
+    find its first bad line, and a text with line breaks other than '\\n' is
+    first rejoined with '\\n'.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     if any(map(text.__contains__, _OTHER_BREAKS)):
-        text = "\n".join(text.splitlines()) + "\n"
-    n_lines = text.count("\n")
+        lines = [*text.splitlines(), ""]
+        del text  # so that a decoded text is not held beside its copy
+        text = "\n".join(lines)
+        del lines
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []
-    lit_of: dict[str, int] = {}  # each distinct token met so far, as an int
     pending: list[int] = []  # literals read but not yet cut into clauses
     find_zero, add = pending.index, clauses.append
-    max_var = n = 0
-    # rank[l] == _rank(l) for 0 < |l| <= n: at most one entry per line
-    rank = [0]
-    line, pos = 1, 0  # the line number at position pos
-    # No line after the one holding the last 'c', 'p' or '%' is marked.
-    tail = text.find("\n", max(0, *map(text.rfind, "cp%")))
-    marks = _MARKED_LINE.finditer(text, 0, len(text) if tail < 0 else tail)
-    for m in chain(marks, [None]):
+    max_var = pos = 0
+    for m in chain(_MARKED_LINE.finditer(text), [None]):
         stop = m.start() if m else len(text)
-        seg, seg_line = pos, line
         while pos < stop:
             cut = text.find("\n", pos + _CHUNK, stop) + 1 or stop
             chunk = text[pos:cut]
             toks = chunk.split()
-            new = set(toks).difference(lit_of)
-            if new:
-                try:
-                    if header is None or "-0" in new:
-                        raise ValueError
-                    lits = list(map(int, new))
-                except ValueError:
-                    at = seg_line + text.count("\n", seg, pos)
-                    raise _first_error(chunk, at, header) from None
-                lit_of.update(zip(new, lits))
-                max_var = max(max_var, max(lits), -min(lits))
-                if n < max_var <= n_lines // 2:
-                    n = min(max(max_var, 2 * n), n_lines // 2)
-                    rank = [0, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)]
-            key = rank.__getitem__ if max_var <= n else _rank
+            distinct = set(toks)
+            try:
+                if "-0" in distinct or header is None and toks:
+                    raise ValueError
+                lits = list(map(int, distinct))
+            except ValueError:
+                raise _first_error(chunk, text.count("\n", 0, pos) + 1, header) from None
+            # Both maps are the chunk's own, so that memory follows the chunk;
+            # the rank map also covers a clause begun in an earlier chunk.
+            lit_of = dict(zip(distinct, lits))
+            rank = dict(zip(lits, map(_rank, lits)))
+            rank.update(zip(pending, map(_rank, pending)))
+            max_var = max(max_var, max(map(abs, lits), default=0))
+            key = rank.__getitem__
             pending += map(lit_of.__getitem__, toks)
             start = 0
             try:
@@ -149,14 +143,11 @@ def parse_dimacs(text: str | bytes) -> Formula:
             except ValueError:
                 del pending[:start]
             pos = cut
-        line = seg_line + text.count("\n", seg, stop)
-        if m is None:
-            line -= text.endswith("\n")  # the last line's number
-            break
-        if m[1] == "%":
+        if m is None or m[1] == "%":
             break
         pos = m.end()
         if m[1] == "p":
+            line = text.count("\n", 0, stop) + 1
             if header is not None:
                 raise DimacsError(line, "duplicate header")
             stripped = m[0].strip()
@@ -169,10 +160,12 @@ def parse_dimacs(text: str | bytes) -> Formula:
                 raise DimacsError(line, f"malformed header: {stripped!r}") from None
             if min(header) < 0:
                 raise DimacsError(line, "negative counts in header")
-    if pending:
-        raise DimacsError(line, "unterminated clause at end of input")
-    if header is None:
-        raise DimacsError(line or 1, "missing 'p cnf' header")
+    if pending or header is None:
+        # the line of the '%', or else the text's last line
+        line = text.count("\n", 0, stop) + 1 - (m is None and text.endswith("\n"))
+        if pending:
+            raise DimacsError(line, "unterminated clause at end of input")
+        raise DimacsError(line, "missing 'p cnf' header")
     return Formula(tuple(clauses), max(header[0], max_var))
 
 

@@ -61,30 +61,6 @@ class ProofStore:
         self._pivot.append(pivot)
         return node_id
 
-    def _append_chain(self, node: int, steps, nodes) -> int:
-        """Append a resolution chain from ``node`` and return its last node.
-
-        Each step (i, t) resolves the running clause, which holds -t, with
-        node ``nodes[i]``, which holds t: the pivot is |t|, and the sign of t
-        says which side is the left child.
-        """
-        left, right, pivot = self._left, self._right, self._pivot
-        node_id = len(pivot)
-        if not 0 <= node < node_id:
-            raise ProofError("resolvent children must already exist")
-        for i, t in steps:
-            if t > 0:
-                left.append(nodes[i])
-                right.append(node)
-                pivot.append(t)
-            else:
-                left.append(node)
-                right.append(nodes[i])
-                pivot.append(-t)
-            node = node_id
-            node_id += 1
-        return node
-
     def clause_of(self, node_id: int) -> Clause:
         """The clause a node derives: stored for inputs, recomputed from
         them for resolvents."""

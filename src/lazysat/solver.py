@@ -385,10 +385,28 @@ class Solver:
     # ------------------------------------------------------------------
     # conflict analysis
 
+    def _chain_to_node(self, start_clause: int, steps) -> int:
+        """Materialize a recorded resolution chain as proof nodes.
+
+        Each step is (antecedent clause index, trail literal t); the running
+        clause contains -t and the antecedent contains t, so the orientation
+        (pivot positive on the left) follows from the sign of t.
+        """
+        proof = self.proof
+        append = proof._append_resolvent
+        clause_node = self.clause_node
+        node = clause_node[start_clause]
+        for ci, t in steps:
+            rnode = clause_node[ci]
+            if t > 0:
+                node = append(rnode, node, t)
+            else:
+                node = append(node, rnode, -t)
+        return node
+
     def _resolve_back(self, start: int, steps, lits):
         """Extend the chain that begins at clause ``start`` and goes on
-        through ``steps``, pairs (antecedent clause index, trail literal),
-        resolving ``lits`` out latest on the trail first.
+        through ``steps``, resolving ``lits`` out latest on the trail first.
 
         ``lits`` are falsified literals of the chain's clause, repeats
         allowed.  A literal with a reason is resolved against it; one
@@ -429,8 +447,7 @@ class Solver:
                         heappush(heap, -tpos[u])
         for v in touched:
             seen[v] = 0
-        clause_node = self.clause_node
-        return self.proof._append_chain(clause_node[start], steps, clause_node), decisions
+        return self._chain_to_node(start, steps), decisions
 
     def _refute_at_level0(self, confl: int):
         """Derive the empty clause from a conflict at decision level 0."""

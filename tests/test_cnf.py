@@ -191,8 +191,8 @@ def test_parse_dimacs_matches_the_line_by_line_reference(doc):
 
 
 def test_parse_dimacs_memory_follows_the_text_not_its_largest_index():
-    # The rank table for the sort grows with the lines, so a short text
-    # with a huge variable index parses in little memory.
+    # The sort's ranks are kept for the literals a chunk uses, so a short
+    # text with a huge variable index parses in little memory.
     tracemalloc.start()
     try:
         f = parse_dimacs("p cnf 1 2\n1000000 0\n-3 0\n")
@@ -203,9 +203,43 @@ def test_parse_dimacs_memory_follows_the_text_not_its_largest_index():
     assert peak < 100_000
 
 
+def _peak_bytes(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _random_3cnf_bytes(num_vars, num_clauses, newline):
+    rng = random.Random(5)
+    lines = [b"c \xdcberpr\xfcfung", b"p cnf %d %d" % (num_vars, num_clauses)]
+    for _ in range(num_clauses):
+        lits = rng.sample(range(1, num_vars + 1), 3)
+        lines.append(b" ".join(b"%d" % (l if rng.random() < 0.5 else -l) for l in lits) + b" 0")
+    return newline.join(lines) + newline
+
+
+def test_parse_dimacs_peak_memory_is_at_most_the_line_by_line_parsers():
+    # Each chunk's tokens and maps are dropped before the next, so a text of
+    # many chunks peaks below holding all of its lines, read as bytes or as
+    # str, and also when it is first rejoined with '\n'.
+    data = _random_3cnf_bytes(15000, 20000, b"\r\n")
+    for text in (data, data.decode("latin-1")):
+        assert parse_dimacs(text) == reference_parse_dimacs(text)
+        assert _peak_bytes(parse_dimacs, text) <= _peak_bytes(reference_parse_dimacs, text)
+
+
+def test_parse_dimacs_rejoins_crlf_without_holding_the_decoded_text():
+    # Rejoining holds the lines and one copy; were the decoded text kept
+    # too, this text would peak about 9 % above its '\n' twin.
+    lf = _peak_bytes(parse_dimacs, _random_3cnf_bytes(50, 20000, b"\n"))
+    assert _peak_bytes(parse_dimacs, _random_3cnf_bytes(50, 20000, b"\r\n")) <= 1.02 * lf
+
+
 def test_parse_dimacs_matches_the_reference_on_the_benchmark_texts(monkeypatch):
-    # The texts perfbench solves, up to a few hundred lines each, where the
-    # rank table serves every literal.
+    # The texts perfbench solves, up to a few hundred lines each.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
